@@ -98,23 +98,6 @@ def product_monoid(m1: MonoidValue, m2: MonoidValue) -> MonoidValue:
     )
 
 
-@dataclass(frozen=True)
-class SemimoduleAction:
-    """A left/right action of a semiring on a monoid-like carrier.
-
-    Only used to name the pair of callables for the law-checking suite; the
-    effect containers implement the same operations as methods.
-    """
-
-    act_left: Callable[[Any, Any], Any]
-    act_right: Callable[[Any, Any], Any]
-
-
-def self_action(weights: StarSemiring) -> SemimoduleAction:
-    """Every semiring acts on itself by multiplication."""
-    return SemimoduleAction(act_left=weights.times, act_right=weights.times)
-
-
 # ---------------------------------------------------------------------------
 # Ranked symbols and trees
 # ---------------------------------------------------------------------------

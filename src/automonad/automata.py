@@ -30,7 +30,7 @@ from .containers import (
     stack_context,
     _bool_subst,
 )
-from .util import CapExceeded, Inl, Inr, UNIT, UnsupportedOperation, render
+from .util import Inl, Inr, UNIT, UnsupportedOperation, render
 
 DEFAULT_MAX_STATES = 100_000
 
@@ -125,22 +125,15 @@ class ExplorationResult:
         return "\n".join(sorted(t.dump_line() for t in self.transitions))
 
 
-def explore(
-    auto: WordAutomaton,
-    alphabet: Sequence,
-    max_states: int = DEFAULT_MAX_STATES,
-    max_depth: int | None = None,
-) -> ExplorationResult:
-    """Breadth-first closure of the states reachable from the initial
-    configuration.  Transitions are memoized per (state, symbol); the
-    truncated flag is set when a cap bites."""
-    container = auto.container
-    memo = memoize_automaton(auto)
-    seen: dict[Any, None] = {}
-    frontier = [s for s in container.support(auto.initial)]
-    for s in frontier:
-        seen.setdefault(s, None)
-    transitions: list[TransitionRecord] = []
+def _breadth_first(roots, successors: Callable, max_states: int, max_depth: int | None = None):
+    """Breadth-first closure of `roots` under `successors(state)`, which
+    yields target states (and may record the transitions it computes).
+
+    Each reached state is expanded once.  A target beyond `max_states`, or a
+    level beyond `max_depth`, is skipped and sets the truncated flag.
+    Returns the reached states in discovery order and that flag."""
+    seen = dict.fromkeys(roots)
+    frontier = list(seen)
     truncated = False
     depth = 0
     while frontier:
@@ -149,21 +142,42 @@ def explore(
             break
         nxt: list = []
         for state in frontier:
-            for sym in alphabet:
-                value = memo.delta(sym, state)
-                transitions.append(
-                    TransitionRecord(state, sym, value, container.render_value(value))
-                )
-                for target in container.support(value):
-                    if target not in seen:
-                        if len(seen) >= max_states:
-                            truncated = True
-                            continue
-                        seen[target] = None
-                        nxt.append(target)
+            for target in successors(state):
+                if target not in seen:
+                    if len(seen) >= max_states:
+                        truncated = True
+                        continue
+                    seen[target] = None
+                    nxt.append(target)
         frontier = nxt
         depth += 1
-    states = sorted(seen, key=render)
+    return list(seen), truncated
+
+
+def explore(
+    auto: WordAutomaton,
+    alphabet: Sequence,
+    max_states: int = DEFAULT_MAX_STATES,
+    max_depth: int | None = None,
+) -> ExplorationResult:
+    """Breadth-first closure of the states reachable from the initial
+    configuration.  Each (state, symbol) transition is computed once; the
+    truncated flag is set when a cap bites."""
+    container = auto.container
+    transitions: list[TransitionRecord] = []
+
+    def successors(state):
+        for sym in alphabet:
+            value = auto.delta(sym, state)
+            transitions.append(
+                TransitionRecord(state, sym, value, container.render_value(value))
+            )
+            yield from container.support(value)
+
+    reached, truncated = _breadth_first(
+        container.support(auto.initial), successors, max_states, max_depth
+    )
+    states = sorted(reached, key=render)
     finals = {s: auto.final(s) for s in states}
     return ExplorationResult(
         states=states,
@@ -173,13 +187,6 @@ def explore(
         container=container,
         finals=finals,
     )
-
-
-def explored_or_raise(auto, alphabet, max_states=DEFAULT_MAX_STATES) -> ExplorationResult:
-    result = explore(auto, alphabet, max_states=max_states)
-    if result.truncated:
-        raise CapExceeded(f"state cap {max_states} exceeded", partial=result)
-    return result
 
 
 def to_dot(result: ExplorationResult, name: str = "automaton") -> str:

@@ -2,161 +2,109 @@
 harnesses, generate random expressions.
 
 Exit codes: 0 success (validate: all pass), 1 validation failure, 2 parse
-error, 3 unsupported method/weights combination, 4 exploration cap exceeded.
+error (expressions, trees and alphabets), 3 unsupported method/weights
+combination, 4 exploration cap exceeded, 5 undefined weight (e.g. the star
+of a nullable expression over the integers).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import enriched as en
 from . import wordexpr as wx
-from .algebra import INTEGERS, RankedSymbol, parse_tree
-from .automata import explore, to_dot
-from .containers import BOOL_EXPR, FINITE_SET, gen_expr, lin_comb
-from .treeauto import (
-    TopDownContainerTA,
-    occurrence_automaton,
-    td_explore,
-    td_to_dot,
-    tree_explore,
-    tree_to_dot,
-)
-from .util import CapExceeded, ExprSyntaxError, UNIT, UnsupportedOperation, render
-from .validate import validate_trees, validate_words
+from .algebra import RankedSymbol, parse_tree
+from .automata import DEFAULT_MAX_STATES, WordAutomaton, explore, to_dot
+from .treeauto import TopDownContainerTA, td_explore, td_to_dot, tree_explore, tree_to_dot
+from .util import CapExceeded, ExprSyntaxError, UNIT, UnsupportedOperation, WeightError, render
+from .validate import CONSTRUCTIONS, WEIGHTS, construct, methods, validate_trees, validate_words
 
-EXIT_FAIL, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_CAPS = 1, 2, 3, 4
+EXIT_FAIL, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_CAPS, EXIT_WEIGHT = 1, 2, 3, 4, 5
 
-WORD_CONTAINERS = {
-    "bool": lambda: FINITE_SET,
-    "int": lambda: lin_comb(INTEGERS),
-    "boolexpr": lambda: BOOL_EXPR,
-    "genexpr": lambda: gen_expr(INTEGERS),
-}
+PALETTES = {"simple": wx.SIMPLE_OPS, "scalar": wx.SCALAR_OPS, "boolean": wx.BOOLEAN_OPS}
+DEFAULT_ALPHABETS = {"word": "abc", "tree": "a/0,b/0,c/0,f/1,h/1,g/2"}
 
 
 def _parse_word_alphabet(text: str):
+    if not text:
+        raise ExprSyntaxError("empty alphabet", 0)
     return list(text)
 
 
 def _parse_tree_alphabet(text: str):
     symbols = []
+    position = 0
     for part in text.split(","):
         name, _, arity = part.partition("/")
+        if not name.strip() or not arity.strip().isdigit():
+            raise ExprSyntaxError(f"expected name/arity, got {part!r}", position)
         symbols.append(RankedSymbol(name.strip(), int(arity)))
+        position += len(part) + 1
+    if not any(s.arity == 0 for s in symbols):
+        raise ExprSyntaxError("a tree alphabet needs a nullary symbol", 0)
     return symbols
 
 
-def _word_expression(args):
+def _expression(args):
+    """The word or tree expression that `args` gives as text or --random."""
     if args.random is not None:
         seed, size = args.random
-        palette = {
-            "simple": wx.SIMPLE_OPS,
-            "scalar": wx.SCALAR_OPS,
-            "boolean": wx.BOOLEAN_OPS,
-        }[args.palette]
-        return wx.random_expression(seed, size, args.alphabet, palette)
-    return wx.parse_expression(args.expression)
+        if args.kind == "word":
+            return wx.random_expression(seed, size, args.alphabet, PALETTES[args.palette])
+        return en.random_tree_expression(seed, size, args.alphabet)
+    if args.expression is None:
+        raise ExprSyntaxError("no expression given (pass one, or --random SEED SIZE)", 0)
+    if args.kind == "word":
+        return wx.parse_expression(args.expression)
+    return en.parse_tree_expression(args.expression, args.alphabet)
 
 
-def _tree_expression(args, alphabet):
-    if args.random is not None:
-        seed, size = args.random
-        return en.random_tree_expression(seed, size, alphabet)
-    return en.parse_tree_expression(args.expression, alphabet)
-
-
-def _build_word_automaton(e, method: str, weights: str):
-    container = WORD_CONTAINERS[weights]()
-    if weights == "bool":
-        e = wx.coerce_scalars(e, bool)
-    if method == "positions":
-        auto = wx.position_automaton(e, container)
-    elif method == "derivation":
-        auto = wx.derivation_automaton(e, container)
-    elif method == "inductive":
-        auto = wx.inductive_automaton(e, container)
-    else:
-        raise UnsupportedOperation(f"unknown method {method!r}")
+def _construct(kind: str, args, e):
+    auto = construct(kind, args.method, args.weights, e)
     if auto is None:
-        raise UnsupportedOperation(f"{method} does not support this expression")
+        raise UnsupportedOperation(f"{args.method} does not support this expression")
     return auto
 
 
+def _explored(auto, alphabet, caps: int):
+    """Explore `auto` with the explorer of its type; returns the result and
+    its DOT writer, or raises CapExceeded when the state cap bites."""
+    if isinstance(auto, WordAutomaton):
+        result, dot = explore(auto, alphabet, max_states=caps), to_dot
+    elif isinstance(auto, TopDownContainerTA):
+        result, dot = td_explore(auto, alphabet, max_states=caps), partial(td_to_dot, auto)
+    else:
+        result, dot = tree_explore(auto, alphabet, max_states=caps), tree_to_dot
+    if result.truncated:
+        raise CapExceeded(f"state cap {caps} exceeded", partial=result)
+    return result, dot
+
+
 def cmd_build(args) -> int:
-    if args.kind == "word":
-        e = _word_expression(args)
-        auto = _build_word_automaton(e, args.method, args.weights)
-        result = explore(auto, args.alphabet, max_states=args.caps)
-        if result.truncated:
-            raise CapExceeded(f"state cap {args.caps} exceeded", partial=result)
-        print(f"expression: {wx.expr_to_text(e)}")
-        if args.format == "dot":
-            sys.stdout.write(to_dot(result))
-        else:
-            print(result.dump())
-        return 0
-    alphabet = args.alphabet
-    e = _tree_expression(args, alphabet)
-    if args.weights not in ("bool", "int"):
-        raise UnsupportedOperation("tree constructions take bool or int weights")
-    container = FINITE_SET if args.weights == "bool" else lin_comb(INTEGERS)
-    print(f"expression: {en.expression_to_text(e)}")
-    if args.method == "positions":
-        auto = en.tree_position_automaton(e, container)
-    elif args.method == "derivation":
-        auto = en.tree_derivation_automaton(e, container)
-    elif args.method == "inductive":
-        auto = en.tree_inductive_automaton(e, container)
+    e = _expression(args)
+    result, dot = _explored(_construct(args.kind, args, e), args.alphabet, args.caps)
+    text = wx.expr_to_text(e) if args.kind == "word" else en.expression_to_text(e)
+    print(f"expression: {text}")
+    if args.format == "dot":
+        sys.stdout.write(dot(result))
     else:
-        raise UnsupportedOperation(f"unknown method {args.method!r}")
-    if isinstance(auto, TopDownContainerTA):
-        result = td_explore(auto, alphabet, max_states=args.caps)
-        if result.truncated:
-            raise CapExceeded(f"state cap {args.caps} exceeded", partial=result)
-        if args.format == "dot":
-            sys.stdout.write(td_to_dot(auto, result))
-        else:
-            print(result.dump())
-    else:
-        result = tree_explore(auto, alphabet, max_states=args.caps)
-        if result.truncated:
-            raise CapExceeded(f"state cap {args.caps} exceeded", partial=result)
-        if args.format == "dot":
-            sys.stdout.write(tree_to_dot(result))
-        else:
-            print(result.dump())
+        print(result.dump())
     return 0
 
 
 def cmd_weight(args) -> int:
-    if args.kind == "word":
-        e = _word_expression(args)
-        auto = _build_word_automaton(e, args.method, args.weights)
-        print(render(auto.weight(args.input)))
-        return 0
-    alphabet = args.alphabet
-    if args.method == "occurrence":
-        subject = parse_tree(args.expression, alphabet)
-        auto = occurrence_automaton(subject)
-        pattern = parse_tree(args.input, alphabet)
-        variables = (UNIT,) * pattern.arity()
-        print(render(auto.weight(pattern, variables)))
-        return 0
-    e = _tree_expression(args, alphabet)
-    container = FINITE_SET if args.weights == "bool" else lin_comb(INTEGERS)
-    if args.method == "positions":
-        auto = en.tree_position_automaton(e, container)
-    elif args.method == "derivation":
-        auto = en.tree_derivation_automaton(e, container)
-    elif args.method == "inductive":
-        auto = en.tree_inductive_automaton(e, container)
+    if args.kind == "tree" and ("pattern", args.method) in CONSTRUCTIONS:
+        # the expression argument is the subject tree the pattern is sought in
+        auto = _construct("pattern", args, parse_tree(args.expression, args.alphabet))
     else:
-        raise UnsupportedOperation(f"unknown method {args.method!r}")
-    tree = parse_tree(args.input, alphabet)
-    variables = (UNIT,) * tree.arity()
-    print(render(auto.weight(tree, variables)))
+        auto = _construct(args.kind, args, _expression(args))
+    if args.kind == "word":
+        print(render(auto.weight(args.input)))
+    else:
+        tree = parse_tree(args.input, args.alphabet)
+        print(render(auto.weight(tree, (UNIT,) * tree.arity())))
     return 0
 
 
@@ -181,12 +129,7 @@ def cmd_validate(args) -> int:
 
 def cmd_random(args) -> int:
     if args.kind == "word":
-        palette = {
-            "simple": wx.SIMPLE_OPS,
-            "scalar": wx.SCALAR_OPS,
-            "boolean": wx.BOOLEAN_OPS,
-        }[args.palette]
-        e = wx.random_expression(args.seed, args.size, args.alphabet, palette)
+        e = wx.random_expression(args.seed, args.size, args.alphabet, PALETTES[args.palette])
         print(wx.expr_to_text(e))
     else:
         e = en.random_tree_expression(args.seed, args.size, args.alphabet)
@@ -200,6 +143,13 @@ def _add_common(parser, kind_choices=("word", "tree")):
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_expression_source(parser, **expression):
+    """The expression positional with --random and --palette, its alternative."""
+    parser.add_argument("expression", **expression)
+    parser.add_argument("--random", nargs=2, type=int, metavar=("SEED", "SIZE"))
+    parser.add_argument("--palette", default="simple", choices=list(PALETTES))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="automonad",
@@ -209,26 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="construct an automaton and print it")
     _add_common(p)
-    p.add_argument("expression", nargs="?", help="expression text")
-    p.add_argument("--random", nargs=2, type=int, metavar=("SEED", "SIZE"))
-    p.add_argument("--method", default="derivation", choices=["positions", "derivation", "inductive"])
-    p.add_argument("--weights", default="bool", choices=["bool", "int", "boolexpr", "genexpr"])
-    p.add_argument("--palette", default="simple", choices=["simple", "scalar", "boolean"])
-    p.add_argument("--caps", type=int, default=100_000)
+    _add_expression_source(p, nargs="?", help="expression text")
+    p.add_argument("--method", default="derivation", choices=methods("word", "tree"))
+    p.add_argument("--weights", default="bool", choices=list(WEIGHTS))
+    p.add_argument("--caps", type=int, default=DEFAULT_MAX_STATES)
     p.add_argument("--format", default="dot", choices=["dot", "dump"])
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("weight", help="weight of a word or tree")
     _add_common(p)
-    p.add_argument("expression", help="expression text (or subject tree for occurrence)")
+    _add_expression_source(p, help="expression text (or subject tree for occurrence)")
     p.add_argument("input", help="word, or tree in name(child,...) form")
-    p.add_argument("--random", nargs=2, type=int, metavar=("SEED", "SIZE"))
-    p.add_argument(
-        "--method",
-        default="derivation",
-        choices=["positions", "derivation", "inductive", "occurrence"],
-    )
-    p.add_argument("--weights", default="bool", choices=["bool", "int", "boolexpr", "genexpr"])
+    p.add_argument("--method", default="derivation", choices=methods("word", "tree", "pattern"))
+    p.add_argument("--weights", default="bool", choices=list(WEIGHTS))
     p.set_defaults(fn=cmd_weight)
 
     p = sub.add_parser("validate", help="cross-method comparison harness")
@@ -240,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="print a random expression")
     _add_common(p)
     p.add_argument("--size", type=int, default=10)
-    p.add_argument("--palette", default="simple", choices=["simple", "scalar", "boolean"])
+    p.add_argument("--palette", default="simple", choices=list(PALETTES))
     p.set_defaults(fn=cmd_random)
 
     return parser
@@ -287,14 +230,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_reorder(argv))
-    if args.alphabet is None:
-        args.alphabet = "abc" if args.kind == "word" else "a/0,b/0,c/0,f/1,h/1,g/2"
-    args.alphabet = (
-        _parse_word_alphabet(args.alphabet)
-        if args.kind == "word"
-        else _parse_tree_alphabet(args.alphabet)
-    )
     try:
+        text = DEFAULT_ALPHABETS[args.kind] if args.alphabet is None else args.alphabet
+        parse_alphabet = _parse_word_alphabet if args.kind == "word" else _parse_tree_alphabet
+        args.alphabet = parse_alphabet(text)
         return args.fn(args)
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -305,6 +244,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPS
+    except WeightError as exc:
+        print(f"undefined weight: {exc}", file=sys.stderr)
+        return EXIT_WEIGHT
 
 
 if __name__ == "__main__":

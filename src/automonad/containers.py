@@ -935,9 +935,6 @@ def stack_context(inner: EffectContainer) -> StackContextContainer:
     return StackContextContainer(inner)
 
 
-BOOL_LINEAR = lin_comb(BOOLEANS)
-
-
 # ---------------------------------------------------------------------------
 # Conversions between containers
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ from typing import Any, Callable, Sequence
 from .algebra import HOLE, MonoidValue, Node, RankedSymbol, RankedTree, subtrees
 from .containers import EffectContainer, FiniteSetContainer, lin_comb
 from .algebra import INTEGERS
+from .automata import DEFAULT_MAX_STATES, _breadth_first
 from .util import UNIT, UnsupportedOperation, render
-
-DEFAULT_MAX_STATES = 100_000
 
 
 def _split_by_arity(values, children):
@@ -344,14 +343,15 @@ def _compose(op: WeightFun, funs: list[WeightFun], arities: list[int], total: in
 @dataclass
 class TreeExploration:
     states: list
-    transitions: list  # (source tuple, symbol, target states, rendered target)
+    # (source tuple, symbol, target states, rendered target, container value)
+    transitions: list
     truncated: bool
     finals: dict = field(default_factory=dict)
 
     def dump(self) -> str:
         lines = [
             f"({','.join(render(s) for s in src)}) --{sym.name}--> {rendered}"
-            for src, sym, _targets, rendered in self.transitions
+            for src, sym, _targets, rendered, _value in self.transitions
         ]
         return "\n".join(sorted(lines))
 
@@ -389,7 +389,7 @@ def tree_explore(
                 seen_keys.add(key)
                 value = auto.delta(symbol, combo)
                 targets = supported(value)
-                transitions.append((combo, symbol, targets, rendered(value)))
+                transitions.append((combo, symbol, targets, rendered(value), value))
                 for target in targets:
                     if target not in known:
                         if len(known) >= max_states:
@@ -414,32 +414,17 @@ def td_explore(
     """Reachable states of a top-down automaton from its initial
     configuration; transitions record the container of child-state tuples."""
     cont = auto.container
-    known: dict = {}
-    frontier = list(cont.support(auto.initial))
-    for s in frontier:
-        known.setdefault(s, None)
     transitions = []
-    truncated = False
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for symbol in alphabet:
-                value = auto.delta(symbol, state)
-                targets = []
-                for vect in cont.support(value):
-                    targets.extend(vect)
-                transitions.append(
-                    ((state,), symbol, targets, cont.render_value(value))
-                )
-                for t in targets:
-                    if t not in known:
-                        if len(known) >= max_states:
-                            truncated = True
-                            continue
-                        known[t] = None
-                        nxt.append(t)
-        frontier = nxt
-    states = sorted(known, key=render)
+
+    def successors(state):
+        for symbol in alphabet:
+            value = auto.delta(symbol, state)
+            targets = [t for vect in cont.support(value) for t in vect]
+            transitions.append(((state,), symbol, targets, cont.render_value(value), value))
+            yield from targets
+
+    reached, truncated = _breadth_first(cont.support(auto.initial), successors, max_states)
+    states = sorted(reached, key=render)
     finals = {s: cont.render_value(auto.var_weight(s)) for s in states}
     return TreeExploration(states, transitions, truncated, finals)
 
@@ -466,10 +451,9 @@ def td_to_dot(auto: TopDownContainerTA, result: TreeExploration, name: str = "tr
         lines.append(f"  __start{i} -> {ids[s]}{attr};")
     fan = 0
     edges = []
-    for (src,), symbol, _targets, _rendered in sorted(
+    for (src,), symbol, _targets, _rendered, value in sorted(
         result.transitions, key=lambda t: (render(t[0]), t[1].name, t[3])
     ):
-        value = auto.delta(symbol, src)
         for vect, w in cont.weighted_elements(value):
             label = symbol.name if w is True else f"{symbol.name}/{render(w)}"
             if len(vect) == 0:
@@ -504,7 +488,7 @@ def tree_to_dot(result: TreeExploration, name: str = "treeautomaton") -> str:
         lines.append(f'  {ids[s]} [shape={shape}, label="{label}"];')
     edges = []
     fan = 0
-    for src, symbol, targets, _rendered in sorted(
+    for src, symbol, targets, _rendered, _value in sorted(
         result.transitions, key=lambda t: (render(t[0]), t[1].name, t[3])
     ):
         if symbol.arity == 0:

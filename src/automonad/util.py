@@ -66,10 +66,6 @@ def _render_tuple(value):
     return "(" + ",".join(render(v) for v in value) + ")"
 
 
-def render_key(value: Any) -> str:
-    return render(value)
-
-
 @dataclass(frozen=True)
 class Inl:
     """Left injection into a disjoint sum of state spaces."""

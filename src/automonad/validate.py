@@ -13,12 +13,68 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from . import enriched as en
+from . import treeauto as ta
 from . import wordexpr as wx
 from .algebra import BOOLEANS, INTEGERS, Node, RankedSymbol
-from .containers import FINITE_SET, lin_comb
-from .util import render
+from .containers import BOOL_EXPR, FINITE_SET, gen_expr, lin_comb
+from .util import UnsupportedOperation, render
 
 INT_LIN = lin_comb(INTEGERS)
+
+# --weights name -> (container, type a word expression's scalars are
+# coerced to before a "word" construction reads it, or None).
+WEIGHTS = {
+    "bool": (FINITE_SET, bool),
+    "int": (INT_LIN, None),
+    "boolexpr": (BOOL_EXPR, None),
+    "genexpr": (gen_expr(INTEGERS), None),
+}
+ANY, BOOL_INT = tuple(WEIGHTS), ("bool", "int")
+
+# The construction registry: (kind, method) -> (builder, the --weights names
+# it is built under).  `builder(expression, container)` returns an automaton,
+# or None when the expression has no reading in the construction.  "word" and
+# "tree" builders read word and tree expressions; "enriched" ones read a word
+# expression lifted by `en.from_word_expression` (the word harness compares
+# them with the "word" ones); "pattern" ones read a subject tree and count in
+# the integers under any weights.  Each lambda looks its builder up when
+# called, so a module attribute patched at runtime is the one that runs.
+CONSTRUCTIONS = {
+    ("word", "positions"): (lambda e, c: wx.position_automaton(e, c), ANY),
+    ("word", "derivation"): (lambda e, c: wx.derivation_automaton(e, c), ANY),
+    ("word", "inductive"): (lambda e, c: wx.inductive_automaton(e, c), BOOL_INT),
+    ("enriched", "positions-rev"): (lambda e, c: en.word_position_automaton(e, c, "reversed"), BOOL_INT),
+    ("enriched", "positions-fwd"): (lambda e, c: en.word_position_automaton(e, c, "forward"), BOOL_INT),
+    ("enriched", "derivation-right"): (lambda e, c: en.word_derivation_automaton(e, c, "reversed"), BOOL_INT),
+    ("enriched", "derivation-left"): (lambda e, c: en.word_derivation_automaton(e, c, "forward"), BOOL_INT),
+    ("enriched", "inductive-enriched"): (lambda e, c: en.word_inductive_automaton(e, c), ("int",)),
+    ("tree", "positions"): (lambda e, c: en.tree_position_automaton(e, c), BOOL_INT),
+    ("tree", "derivation"): (lambda e, c: en.tree_derivation_automaton(e, c), BOOL_INT),
+    ("tree", "inductive"): (lambda e, c: en.tree_inductive_automaton(e, c), BOOL_INT),
+    ("pattern", "occurrence"): (lambda t, _c: ta.occurrence_automaton(t), ANY),
+}
+
+
+def methods(*kinds) -> list:
+    """Method names registered for any of `kinds`, in registry order."""
+    return list(dict.fromkeys(m for k, m in CONSTRUCTIONS if k in kinds))
+
+
+def construct(kind: str, method: str, weights: str, e):
+    """The automaton of construction (kind, method) for `e` under the
+    --weights name `weights`, or None when `e` has no reading in it.
+
+    Raises UnsupportedOperation for a pair the registry does not hold."""
+    try:
+        builder, accepted = CONSTRUCTIONS[(kind, method)]
+    except KeyError:
+        raise UnsupportedOperation(f"unknown {kind} method {method!r}") from None
+    if weights not in accepted:
+        raise UnsupportedOperation(f"{kind} {method} takes {'|'.join(accepted)} weights")
+    container, scalars = WEIGHTS[weights]
+    if kind == "word" and scalars is not None:
+        e = wx.coerce_scalars(e, scalars)
+    return builder(e, container)
 
 
 @dataclass
@@ -114,36 +170,30 @@ def word_probes(e, rng: random.Random, count: int, alphabet, max_len: int = 10):
     return probes
 
 
+def _constructions(kind, e, mutate: dict | None) -> dict:
+    """Every registered construction of `kind` under boolean and integer
+    weights, as "method/weights" -> weight function."""
+    builders: dict = {}
+    for weights in BOOL_INT:
+        for (k, method), (_builder, accepted) in CONSTRUCTIONS.items():
+            if k != kind or weights not in accepted:
+                continue
+            auto = construct(kind, method, weights, e)
+            if auto is None:
+                continue
+            name = f"{method}/{weights}"
+            fn = auto.weight
+            if mutate and name in mutate:
+                fn = mutate[name](fn)
+            builders[name] = fn
+    return builders
+
+
 def word_constructions(e, include_enriched: bool, mutate: dict | None = None) -> dict:
     """All applicable word constructions, as name -> weight function."""
-    eb = wx.coerce_scalars(e, bool)
-    builders: dict = {}
-
-    def add(name, auto):
-        if auto is None:
-            return
-        fn = auto.weight
-        if mutate and name in mutate:
-            fn = mutate[name](fn)
-        builders[name] = fn
-
-    add("positions/bool", wx.position_automaton(eb, FINITE_SET))
-    add("derivation/bool", wx.derivation_automaton(eb, FINITE_SET))
-    add("inductive/bool", wx.inductive_automaton(eb, FINITE_SET))
-    add("positions/int", wx.position_automaton(e, INT_LIN))
-    add("derivation/int", wx.derivation_automaton(e, INT_LIN))
-    add("inductive/int", wx.inductive_automaton(e, INT_LIN))
+    builders = _constructions("word", e, mutate)
     if include_enriched:
-        ee = en.from_word_expression(e)
-        add("positions-rev/bool", en.word_position_automaton(ee, FINITE_SET, "reversed"))
-        add("positions-fwd/bool", en.word_position_automaton(ee, FINITE_SET, "forward"))
-        add("derivation-right/bool", en.word_derivation_automaton(ee, FINITE_SET, "reversed"))
-        add("derivation-left/bool", en.word_derivation_automaton(ee, FINITE_SET, "forward"))
-        add("positions-rev/int", en.word_position_automaton(ee, INT_LIN, "reversed"))
-        add("positions-fwd/int", en.word_position_automaton(ee, INT_LIN, "forward"))
-        add("derivation-right/int", en.word_derivation_automaton(ee, INT_LIN, "reversed"))
-        add("derivation-left/int", en.word_derivation_automaton(ee, INT_LIN, "forward"))
-        add("inductive-enriched/int", en.word_inductive_automaton(ee, INT_LIN))
+        builders.update(_constructions("enriched", en.from_word_expression(e), mutate))
     return builders
 
 
@@ -236,21 +286,8 @@ def tree_probes(e, rng: random.Random, count: int, alphabet, max_depth: int = 5)
 
 
 def tree_constructions(e, mutate: dict | None = None) -> dict:
-    builders: dict = {}
-
-    def add(name, auto):
-        fn = auto.weight
-        if mutate and name in mutate:
-            fn = mutate[name](fn)
-        builders[name] = fn
-
-    add("positions/bool", en.tree_position_automaton(e, FINITE_SET))
-    add("derivation/bool", en.tree_derivation_automaton(e, FINITE_SET))
-    add("inductive/bool", en.tree_inductive_automaton(e, FINITE_SET))
-    add("positions/int", en.tree_position_automaton(e, INT_LIN))
-    add("derivation/int", en.tree_derivation_automaton(e, INT_LIN))
-    add("inductive/int", en.tree_inductive_automaton(e, INT_LIN))
-    return builders
+    """All tree constructions, as name -> weight function."""
+    return _constructions("tree", e, mutate)
 
 
 def validate_trees(

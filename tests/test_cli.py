@@ -1,10 +1,19 @@
+import argparse
 import io
 import sys
 
 import pytest
 
-from automonad.cli import main
-from automonad.validate import validate_trees, validate_words
+from automonad import wordexpr as wx
+from automonad.algebra import INTEGERS
+from automonad.cli import (
+    EXIT_PARSE,
+    EXIT_UNSUPPORTED,
+    EXIT_WEIGHT,
+    build_parser,
+    main,
+)
+from automonad.validate import CONSTRUCTIONS, WEIGHTS, validate_trees, validate_words
 
 
 def run_cli(*argv, capsys=None):
@@ -69,6 +78,94 @@ class TestWeight:
     def test_tree_weight_by_method(self, capsys):
         assert main(["weight", "tree", "--method", "derivation", "@a .() @f(())", "f(a)"]) == 0
         assert capsys.readouterr().out.strip() == "true"
+
+
+    def test_random_expression_source(self, capsys):
+        argv = ["weight", "word", "-", "ab", "--random", "0", "12"]
+        assert main(argv + ["--method", "derivation", "--weights", "int"]) == 0
+        e = wx.random_expression(0, 12, "abc", wx.SIMPLE_OPS)
+        expected = wx.brute_force_language(e, 2, INTEGERS).get(("a", "b"), 0)
+        assert capsys.readouterr().out.strip() == str(expected)
+
+    @pytest.mark.parametrize("command", ["build", "weight"])
+    @pytest.mark.parametrize("weights", ["boolexpr", "genexpr"])
+    def test_tree_weights_checked_by_both_subcommands(self, command, weights, capsys):
+        argv = [command, "tree", "@a .() @f(())", "--weights", weights]
+        if command == "weight":
+            argv.insert(3, "f(a)")
+        assert main(argv) == EXIT_UNSUPPORTED
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weight", "word", "--weights", "int", "(1+a)*", "a"],
+            ["build", "word", "--weights", "int", "(1+a)*"],
+        ],
+    )
+    def test_undefined_weight_exit_code(self, argv, capsys):
+        assert main(argv) == EXIT_WEIGHT
+        assert capsys.readouterr().err.startswith("undefined weight: ")
+
+
+BAD_ALPHABETS = [
+    ["validate", "word", "--alphabet", ""],
+    ["validate", "tree", "--alphabet", "a/x"],
+    ["validate", "tree", "--alphabet", "f/1"],
+    ["build", "word", "--random", "0", "5", "--alphabet", ""],
+    ["random", "tree", "--alphabet", "a/0,g/-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ALPHABETS)
+def test_bad_alphabet_is_a_parse_error(argv, capsys):
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def _choices(command, dest):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+
+
+def test_parser_choices_are_the_registry_keys():
+    registered = {(kind, method) for kind, method in CONSTRUCTIONS}
+    assert set(_choices("build", "method")) == {
+        m for k, m in registered if k in ("word", "tree")
+    }
+    assert set(_choices("weight", "method")) == {
+        m for k, m in registered if k in ("word", "tree", "pattern")
+    }
+    for command in ("build", "weight"):
+        assert set(_choices(command, "weights")) == set(WEIGHTS)
+
+
+HOSTILE = [
+    *BAD_ALPHABETS,
+    ["weight", "word", "--weights", "int", "(1+a)*", "a"],
+    ["build", "word", "--weights", "int", "(1+a)*"],
+    ["weight", "word", "-", "ab", "--random", "0", "12", "--weights", "int"],
+    ["weight", "tree", "--weights", "boolexpr", "@a", "a"],
+    ["build", "tree", "--weights", "genexpr", "@a"],
+    ["build", "word"],
+    ["build", "word", "--method", "derivation", "(a+b)*.a.(a+b)*", "--caps", "2"],
+]
+EXPRESSIONS = {"word": ("[2]:a*.b", "ab"), "tree": ("@a .() (@f(()))*()", "f(a)")}
+PAIRS = [
+    [command, kind, "--method", method, "--weights", weights]
+    for command in ("build", "weight")
+    for kind in ("word", "tree")
+    for method in _choices(command, "method")
+    for weights in _choices(command, "weights")
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE + PAIRS, ids=" ".join)
+def test_no_traceback(argv, capsys):
+    if argv in PAIRS:
+        expression, item = EXPRESSIONS[argv[1]]
+        argv = argv + ([expression] if argv[0] == "build" else [expression, item])
+    code = main(argv)
+    assert isinstance(code, int) and code in {0, 2, 3, 4, 5}
 
 
 class TestRandom:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -24,6 +25,7 @@ from automonad.treeauto import (
     const_fun,
     occurrence_automaton,
     td_explore,
+    td_to_dot,
     tree_explore,
     tree_to_dot,
 )
@@ -338,3 +340,17 @@ class TestExploration:
         result = td_explore(occ, ALPHABET)
         assert len(result.states) == 3
         assert not result.truncated
+
+    def test_td_dot_reuses_explored_transitions(self):
+        occ = occurrence_automaton(parse_tree("g(a,b)"))
+        calls = []
+
+        def counting_delta(symbol, state):
+            calls.append((symbol, state))
+            return occ.delta(symbol, state)
+
+        auto = dataclasses.replace(occ, delta=counting_delta)
+        result = td_explore(auto, ALPHABET)
+        dot = td_to_dot(auto, result)
+        assert len(calls) == len(set(calls)) == 3 * len(ALPHABET)
+        assert 'label="g' in dot
