@@ -129,12 +129,26 @@ def _breadth_first(roots, successors: Callable, max_states: int, max_depth: int 
     """Breadth-first closure of `roots` under `successors(state)`, which
     yields target states (and may record the transitions it computes).
 
-    Each reached state is expanded once.  A target beyond `max_states`, or a
-    level beyond `max_depth`, is skipped and sets the truncated flag.
-    Returns the reached states in discovery order and that flag."""
-    seen = dict.fromkeys(roots)
-    frontier = list(seen)
+    Each reached state is expanded once.  A root or target beyond
+    `max_states`, or a level beyond `max_depth`, is skipped and sets the
+    truncated flag.  Returns the reached states in discovery order and that
+    flag."""
+    seen: dict = {}
     truncated = False
+
+    def admit(targets) -> list:
+        nonlocal truncated
+        fresh = []
+        for target in targets:
+            if target not in seen:
+                if len(seen) >= max_states:
+                    truncated = True
+                    continue
+                seen[target] = None
+                fresh.append(target)
+        return fresh
+
+    frontier = admit(roots)
     depth = 0
     while frontier:
         if max_depth is not None and depth >= max_depth:
@@ -142,13 +156,7 @@ def _breadth_first(roots, successors: Callable, max_states: int, max_depth: int 
             break
         nxt: list = []
         for state in frontier:
-            for target in successors(state):
-                if target not in seen:
-                    if len(seen) >= max_states:
-                        truncated = True
-                        continue
-                    seen[target] = None
-                    nxt.append(target)
+            nxt += admit(successors(state))
         frontier = nxt
         depth += 1
     return list(seen), truncated
@@ -192,49 +200,69 @@ def explore(
 def to_dot(result: ExplorationResult, name: str = "automaton") -> str:
     """Graphviz text for an explored automaton, deterministically ordered."""
     container = result.container
-    zero_like = (False, 0, None)
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  node [shape=circle];']
-    ids = {s: f"q{i}" for i, s in enumerate(result.states)}
-    for s in result.states:
-        w = result.finals.get(s)
-        accepting = w not in zero_like
-        shape = "doublecircle" if accepting else "circle"
-        label = render(s).replace('"', "'")
-        if accepting and w is not True:
-            label += f" | {render(w)}"
-        lines.append(f'  {ids[s]} [shape={shape}, label="{label}"];')
+    ids, lines = _dot_states(result.states, result.finals, _accepting_node)
     if container is not None and result.initial is not None:
-        entries = _entry_weights(container, result.initial)
-        for i, (s, w) in enumerate(entries):
-            if s not in ids:
-                continue
-            lines.append(f"  __start{i} [shape=point, label=\"\"];")
-            label = "" if w is True else render(w).replace('"', "'")
-            attr = f' [label="{label}"]' if label else ""
-            lines.append(f"  __start{i} -> {ids[s]}{attr};")
+        lines += _dot_starts(ids, _weighted_elements(container, result.initial))
     edges = []
     for t in result.transitions:
         if t.source not in ids:
             continue
-        try:
-            weighted = container.weighted_elements(t.target)
-        except UnsupportedOperation:
-            weighted = [(s, True) for s in container.support(t.target)]
-        for target, w in weighted:
+        for target, w in _weighted_elements(container, t.target):
             if target not in ids:
                 continue
             label = render(t.symbol) if w is True else f"{render(t.symbol)}/{render(w)}"
             edges.append(f'  {ids[t.source]} -> {ids[target]} [label="{label}"];')
-    lines.extend(sorted(edges))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot_graph(name, "LR", lines + sorted(edges))
 
 
-def _entry_weights(container, initial):
+def _weighted_elements(container, value):
+    """Weighted elements of `value`, or its support weighted `True` for
+    containers that expose no element weights."""
     try:
-        return container.weighted_elements(initial)
+        return container.weighted_elements(value)
     except UnsupportedOperation:
-        return [(s, True) for s in container.support(initial)]
+        return [(s, True) for s in container.support(value)]
+
+
+def _accepting_node(w):
+    """Shape and label suffix of a state node whose final weight is `w`."""
+    if w in (False, 0, None):
+        return "circle", ""
+    return "doublecircle", "" if w is True else render(w)
+
+
+def _dot_states(states, finals: dict, decorate: Callable):
+    """Node ids and DOT lines for `states`; `decorate(finals.get(state))`
+    gives the node's shape (None keeps the default) and the suffix shown
+    after ` | ` in its label (empty for none)."""
+    ids = {s: f"q{i}" for i, s in enumerate(states)}
+    lines = []
+    for s in states:
+        shape, suffix = decorate(finals.get(s))
+        label = render(s).replace('"', "'") + (f" | {suffix}" if suffix else "")
+        attrs = f'shape={shape}, label="{label}"' if shape else f'label="{label}"'
+        lines.append(f"  {ids[s]} [{attrs}];")
+    return ids, lines
+
+
+def _dot_starts(ids: dict, entries) -> list:
+    """Entry arrows from point nodes to the initial states in `ids`, labelled
+    with their initial weight unless it is `True`."""
+    lines = []
+    for i, (s, w) in enumerate(entries):
+        if s not in ids:
+            continue
+        lines.append(f'  __start{i} [shape=point, label=""];')
+        label = "" if w is True else render(w).replace('"', "'")
+        attr = f' [label="{label}"]' if label else ""
+        lines.append(f"  __start{i} -> {ids[s]}{attr};")
+    return lines
+
+
+def _dot_graph(name: str, rankdir: str, body: list) -> str:
+    return "\n".join(
+        [f"digraph {name} {{", f"  rankdir={rankdir};", "  node [shape=circle];", *body, "}"]
+    ) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -894,6 +894,9 @@ class DeterministicContainer(EffectContainer):
     def bind(self, c, f):
         return f(c)
 
+    def sequence(self, cs):
+        return tuple(cs)
+
     def weight_cast(self, c):
         return c
 

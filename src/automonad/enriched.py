@@ -870,15 +870,8 @@ def _sub_pieces(v, p1: _Pieces, p2: _Pieces, container, tree: bool) -> _Pieces:
             )
         return container.unit(state)
 
-    if tree:
-
-        def delta(symbol, states):
-            return container.bind(base.delta(symbol, states), hop)
-
-    else:
-
-        def delta(symbol, state):
-            return container.bind(base.delta(symbol, state), hop)
+    def delta(symbol, source):  # a state, or a state tuple for trees
+        return container.bind(base.delta(symbol, source), hop)
 
     def init(u):
         # a zero-length p1 run from u continues straight into p2's v entry;
@@ -899,7 +892,7 @@ def _sub_pieces(v, p1: _Pieces, p2: _Pieces, container, tree: bool) -> _Pieces:
     return _Pieces(init, delta, final)
 
 
-def _positive_star_pieces(v, p: _Pieces, container, tree: bool) -> _Pieces:
+def _positive_star_pieces(v, p: _Pieces, container) -> _Pieces:
     w = container.weights
     eps = _var_weight_of(p, container, v)
     star_eps = w.star(eps)
@@ -910,15 +903,8 @@ def _positive_star_pieces(v, p: _Pieces, container, tree: bool) -> _Pieces:
             container.act_left(p.final(state), p.init(v)),
         )
 
-    if tree:
-
-        def delta(symbol, states):
-            return container.bind(p.delta(symbol, states), hop)
-
-    else:
-
-        def delta(symbol, state):
-            return container.bind(p.delta(symbol, state), hop)
+    def delta(symbol, source):  # a state, or a state tuple for trees
+        return container.bind(p.delta(symbol, source), hop)
 
     def init(u):
         if u == v:
@@ -991,9 +977,7 @@ def _inductive_pieces(e: EnrichedExpression, container, tree: bool) -> _Pieces:
             tree,
         )
     if isinstance(e, EStar):
-        inner = _positive_star_pieces(
-            e.var, _inductive_pieces(e.body, container, tree), container, tree
-        )
+        inner = _positive_star_pieces(e.var, _inductive_pieces(e.body, container, tree), container)
         return _sum_pieces(inner, _var_pieces(e.var, container), container, tree)
     raise TypeError(f"not an enriched expression: {e!r}")
 

@@ -2,10 +2,10 @@
 
 Holes in input trees stand for variables, consumed left to right; the weight
 of a k-ary tree is therefore a k-ary function of variable assignments.  Four
-flavors ship: deterministic-complete bottom-up (with variable initialization
-and a root weight), container-valued bottom-up, container-valued top-down and
-multi-operator-weighted bottom-up (transitions weighted by n-ary functions on
-a monoid).
+flavors ship: container-valued bottom-up, its deterministic-complete
+(identity-container) case with variable initialization and a root weight,
+container-valued top-down and multi-operator-weighted bottom-up (transitions
+weighted by n-ary functions on a monoid).
 """
 
 from __future__ import annotations
@@ -15,9 +15,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from .algebra import HOLE, MonoidValue, Node, RankedSymbol, RankedTree, subtrees
-from .containers import EffectContainer, FiniteSetContainer, lin_comb
+from .containers import DETERMINISTIC, EffectContainer, FiniteSetContainer, lin_comb
 from .algebra import INTEGERS
-from .automata import DEFAULT_MAX_STATES, _breadth_first
+from .automata import (
+    DEFAULT_MAX_STATES,
+    _accepting_node,
+    _breadth_first,
+    _dot_graph,
+    _dot_starts,
+    _dot_states,
+)
 from .util import UNIT, UnsupportedOperation, render
 
 
@@ -30,52 +37,6 @@ def _split_by_arity(values, children):
         out.append(tuple(values[i : i + n]))
         i += n
     return out
-
-
-# ---------------------------------------------------------------------------
-# Deterministic-complete bottom-up automata with a root weight
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BottomUpDetTA:
-    """Complete deterministic bottom-up automaton; `final` maps the root
-    state to a weight (a boolean for plain recognizers)."""
-
-    init: Callable[[Any], Any] | None  # variable -> state
-    delta: Callable[[RankedSymbol, tuple], Any]
-    final: Callable[[Any], Any]
-
-    def state_of(self, t: RankedTree, variables: tuple = ()):
-        if len(variables) != t.arity():
-            raise ValueError(f"tree of arity {t.arity()} needs {t.arity()} variables")
-
-        def go(tree, vs):
-            if tree is HOLE:
-                if self.init is None:
-                    raise UnsupportedOperation("automaton has no variable initialization")
-                return self.init(vs[0])
-            assert isinstance(tree, Node)
-            groups = _split_by_arity(vs, tree.children)
-            children = tuple(go(c, g) for c, g in zip(tree.children, groups))
-            return self.delta(tree.symbol, children)
-
-        return go(t, tuple(variables))
-
-    def weight(self, t: RankedTree, variables: tuple = ()):
-        return self.final(self.state_of(t, variables))
-
-    def weight_fn(self, t: RankedTree) -> Callable:
-        """The k-ary function Var^k -> weight denoted by a k-ary tree."""
-        return lambda *variables: self.weight(t, variables)
-
-    def recognizes(self, t: RankedTree, variables: tuple = ()) -> bool:
-        return bool(self.weight(t, variables))
-
-
-def bu_complement(auto: BottomUpDetTA) -> BottomUpDetTA:
-    """Flip the boolean finality of a complete deterministic automaton."""
-    return BottomUpDetTA(auto.init, auto.delta, lambda s: not auto.final(s))
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +79,32 @@ class BottomUpContainerTA:
 
     def recognizes(self, t: RankedTree, variables: tuple = ()) -> bool:
         return bool(self.weight(t, variables))
+
+
+class BottomUpDetTA(BottomUpContainerTA):
+    """Complete deterministic bottom-up automaton: the identity-container
+    (`DETERMINISTIC`) case, whose configuration is a single state.  `init`
+    maps a variable to a state, `final` the root state to a weight (a
+    boolean for plain recognizers)."""
+
+    def __init__(
+        self,
+        init: Callable[[Any], Any] | None,
+        delta: Callable[[RankedSymbol, tuple], Any],
+        final: Callable[[Any], Any],
+    ):
+        super().__init__(DETERMINISTIC, init, delta, final)
+
+    state_of = BottomUpContainerTA.config
+
+    def weight_fn(self, t: RankedTree) -> Callable:
+        """The k-ary function Var^k -> weight denoted by a k-ary tree."""
+        return lambda *variables: self.weight(t, variables)
+
+
+def bu_complement(auto: BottomUpDetTA) -> BottomUpDetTA:
+    """Flip the boolean finality of a complete deterministic automaton."""
+    return BottomUpDetTA(auto.init, auto.delta, lambda s: not auto.final(s))
 
 
 def bu_pack(container, delta, is_final) -> BottomUpContainerTA:
@@ -357,53 +344,41 @@ class TreeExploration:
 
 
 def tree_explore(
-    auto,
+    auto: BottomUpContainerTA,
     alphabet: Sequence[RankedSymbol],
     max_states: int = DEFAULT_MAX_STATES,
 ) -> TreeExploration:
-    """Saturate the accessible states of a bottom-up automaton: start from
-    nullary transitions and fire symbols over known tuples to a fixpoint."""
-    if isinstance(auto, BottomUpDetTA):
-        supported = lambda value: [value]
-        rendered = lambda value: render(value)
-        final = auto.final
-    elif isinstance(auto, BottomUpContainerTA):
-        supported = lambda value: auto.container.support(value)
-        rendered = lambda value: auto.container.render_value(value)
-        final = auto.final
-    else:
-        raise UnsupportedOperation(f"cannot explore {auto!r}")
-    known: dict = {}
+    """Accessible states of a bottom-up automaton: nullary symbols seed the
+    worklist, and expanding a state fires every symbol once on each tuple of
+    expanded states that contains it (semi-naive evaluation)."""
+    cont = auto.container
     transitions = []
-    seen_keys = set()
-    truncated = False
-    changed = True
-    while changed:
-        changed = False
+    expanded: list = []
+
+    def fire(symbol, combo):
+        value = auto.delta(symbol, combo)
+        targets = cont.support(value)
+        transitions.append((combo, symbol, targets, cont.render_value(value), value))
+        return targets
+
+    def successors(state):
+        earlier = list(expanded)
+        expanded.append(state)
         for symbol in alphabet:
-            pool = sorted(known, key=render)
-            for combo in itertools.product(pool, repeat=symbol.arity):
-                key = (symbol, combo)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                value = auto.delta(symbol, combo)
-                targets = supported(value)
-                transitions.append((combo, symbol, targets, rendered(value), value))
-                for target in targets:
-                    if target not in known:
-                        if len(known) >= max_states:
-                            truncated = True
-                            continue
-                        known[target] = None
-                        changed = True
-    states = sorted(known, key=render)
-    return TreeExploration(
-        states=states,
-        transitions=transitions,
-        truncated=truncated,
-        finals={s: final(s) for s in states},
-    )
+            n = symbol.arity
+            # `state` first occurs at slot i: earlier slots hold states
+            # expanded before it, later slots any expanded state
+            for i in range(n):
+                heads = itertools.product(earlier, repeat=i)
+                tails = itertools.product(expanded, repeat=n - 1 - i)
+                for head, tail in itertools.product(heads, tails):
+                    yield from fire(symbol, head + (state,) + tail)
+
+    leaves = [t for sym in alphabet if sym.arity == 0 for t in fire(sym, ())]
+    reached, truncated = _breadth_first(leaves, successors, max_states)
+    states = sorted(reached, key=render)
+    finals = {s: auto.final(s) for s in states}
+    return TreeExploration(states, transitions, truncated, finals)
 
 
 def td_explore(
@@ -433,22 +408,8 @@ def td_to_dot(auto: TopDownContainerTA, result: TreeExploration, name: str = "tr
     """DOT for a top-down automaton: fan nodes distribute a state over the
     child states of each transition."""
     cont = auto.container
-    lines = [f"digraph {name} {{", "  rankdir=TB;", "  node [shape=circle];"]
-    ids = {s: f"q{i}" for i, s in enumerate(result.states)}
-    for s in result.states:
-        var_w = result.finals.get(s, "")
-        label = render(s).replace('"', "'")
-        if var_w and var_w not in ("{}", "0", "#"):
-            label += f" | {var_w}"
-        lines.append(f'  {ids[s]} [label="{label}"];')
-    entries = cont.weighted_elements(auto.initial)
-    for i, (s, w) in enumerate(entries):
-        if s not in ids:
-            continue
-        lines.append(f'  __start{i} [shape=point, label=""];')
-        label = "" if w is True else render(w).replace('"', "'")
-        attr = f' [label="{label}"]' if label else ""
-        lines.append(f"  __start{i} -> {ids[s]}{attr};")
+    ids, lines = _dot_states(result.states, result.finals, _var_weight_node)
+    lines += _dot_starts(ids, cont.weighted_elements(auto.initial))
     fan = 0
     edges = []
     for (src,), symbol, _targets, _rendered, value in sorted(
@@ -469,23 +430,17 @@ def td_to_dot(auto: TopDownContainerTA, result: TreeExploration, name: str = "tr
                 edges.append(f'  {ids[src]} -> {node} [label="{label}"];')
                 for i, child in enumerate(vect):
                     edges.append(f'  {node} -> {ids[child]} [label="{i + 1}"];')
-    lines.extend(edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot_graph(name, "TB", lines + edges)
+
+
+def _var_weight_node(var_w):
+    """Default shape; the rendered variable weight unless it is empty."""
+    return None, "" if var_w in (None, "", "{}", "0", "#") else var_w
 
 
 def tree_to_dot(result: TreeExploration, name: str = "treeautomaton") -> str:
     """DOT text; transitions of arity >= 2 are drawn through a fan node."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];"]
-    ids = {s: f"q{i}" for i, s in enumerate(result.states)}
-    for s in result.states:
-        w = result.finals.get(s)
-        accepting = w not in (False, 0, None)
-        shape = "doublecircle" if accepting else "circle"
-        label = render(s).replace('"', "'")
-        if accepting and w is not True:
-            label += f" | {render(w)}"
-        lines.append(f'  {ids[s]} [shape={shape}, label="{label}"];')
+    ids, lines = _dot_states(result.states, result.finals, _accepting_node)
     edges = []
     fan = 0
     for src, symbol, targets, _rendered, _value in sorted(
@@ -509,6 +464,4 @@ def tree_to_dot(result: TreeExploration, name: str = "treeautomaton") -> str:
                 edges.append(f'  {ids[s]} -> {node} [label="{i + 1}"];')
             for t in targets:
                 edges.append(f'  {node} -> {ids[t]} [label="{symbol.name}"];')
-    lines.extend(edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot_graph(name, "BT", lines + edges)

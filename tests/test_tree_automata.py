@@ -13,7 +13,7 @@ from automonad.algebra import (
     parse_tree,
     subtrees,
 )
-from automonad.containers import FINITE_SET
+from automonad.containers import DETERMINISTIC, FINITE_SET
 from automonad.treeauto import (
     BottomUpContainerTA,
     BottomUpDetTA,
@@ -114,6 +114,11 @@ class TestModularRwta:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             rwta().weight(T_VAR, ("X1",))
+
+    def test_identity_container_case(self):
+        auto = rwta()
+        assert isinstance(auto, BottomUpContainerTA) and auto.container is DETERMINISTIC
+        assert auto.state_of(T_OK) == auto.config(T_OK) == 2
 
 
 def figure_nta():
@@ -319,6 +324,25 @@ class TestExploration:
         auto = figure_nta()
         for combo in itertools.product(result.states, repeat=2):
             assert set(auto.delta(G, combo)) <= set(result.states)
+
+    def test_delta_fired_once_per_reached_tuple(self):
+        auto = figure_nta()
+        calls = []
+
+        def counting_delta(symbol, states):
+            calls.append((symbol, states))
+            return auto.delta(symbol, states)
+
+        result = tree_explore(dataclasses.replace(auto, delta=counting_delta), ALPHABET)
+        expected = sum(len(result.states) ** sym.arity for sym in ALPHABET)
+        assert len(calls) == len(set(calls)) == expected
+
+    def test_cap_below_leaf_states(self):
+        leaves = [RankedSymbol(f"c{i}", 0) for i in range(5)]
+        auto = bu_pack(FINITE_SET, lambda sym, _states: frozenset({sym.name}), bool)
+        result = tree_explore(auto, leaves + [F], max_states=3)
+        assert result.truncated
+        assert len(result.states) == 3
 
     def test_determinized_dump_golden(self):
         det = bu_determinize(figure_nta())

@@ -632,6 +632,14 @@ class TestExploration:
         explore(auto, "AB")
         assert all(v == 1 for v in calls.values())
 
+    def test_cap_counts_initial_states(self):
+        auto = WordAutomaton(
+            FINITE_SET, frozenset(range(10)), lambda _sym, _q: frozenset(), bool
+        )
+        small = explore(auto, "a", max_states=3)
+        assert small.truncated and len(small.states) == 3
+        assert not explore(auto, "a", max_states=10).truncated
+
     def test_max_depth_truncates(self):
         det = determinize(exponential_family(4))
         shallow = explore(det, "AB", max_depth=1)
