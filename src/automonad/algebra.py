@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .util import ExprSyntaxError, WeightError, render
+from .util import MAX_NESTING, ExprSyntaxError, WeightError, render
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,10 @@ def parse_tree(text: str, alphabet: Sequence[RankedSymbol] | None = None) -> Ran
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def parse_one() -> RankedTree:
+    def parse_one(depth: int) -> RankedTree:
         nonlocal pos
+        if depth > MAX_NESTING:
+            raise ExprSyntaxError(f"tree nested too deeply (more than {MAX_NESTING} levels)", pos)
         skip_ws()
         if pos >= len(text):
             raise ExprSyntaxError("unexpected end of tree", pos)
@@ -239,7 +241,7 @@ def parse_tree(text: str, alphabet: Sequence[RankedSymbol] | None = None) -> Ran
         if pos < len(text) and text[pos] == "(":
             pos += 1
             while True:
-                children.append(parse_one())
+                children.append(parse_one(depth + 1))
                 skip_ws()
                 if pos < len(text) and text[pos] == ",":
                     pos += 1
@@ -261,7 +263,7 @@ def parse_tree(text: str, alphabet: Sequence[RankedSymbol] | None = None) -> Ran
             symbol = RankedSymbol(name, len(children))
         return Node(symbol, tuple(children))
 
-    tree = parse_one()
+    tree = parse_one(0)
     skip_ws()
     if pos != len(text):
         raise ExprSyntaxError("trailing input after tree", pos)

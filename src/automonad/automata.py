@@ -22,12 +22,10 @@ from .containers import (
     EffectContainer,
     FiniteSetContainer,
     OptionalContainer,
-    StackVal,
     bool_expr_to_clauses,
     eval_bool_expr,
     monoid_pair,
     normalize_bool_expr,
-    stack_context,
     _bool_subst,
 )
 from .util import Inl, Inr, UNIT, UnsupportedOperation, render
@@ -546,25 +544,70 @@ def to_k_dfa(inits: Sequence, auto: WordAutomaton) -> WordAutomaton:
 # ---------------------------------------------------------------------------
 
 
+class _Stack:
+    """An immutable cons cell `(top, rest)` of a pushdown stack; `rest` is
+    a cell or None for the empty rest.  The hash is cached when the cell is
+    built and equality walks the cells in a loop, so long stacks neither
+    recurse nor cost more than a step to hash."""
+
+    __slots__ = ("top", "rest", "_hash")
+
+    def __init__(self, top, rest: _Stack | None):
+        self.top = top
+        self.rest = rest
+        self._hash = hash((top, rest))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        a, b = self, other
+        while a is not b:  # shared tails are equal
+            if not (isinstance(a, _Stack) and isinstance(b, _Stack)):
+                return False
+            if a._hash != b._hash or a.top != b.top:
+                return False
+            a, b = a.rest, b.rest
+        return True
+
+
+def _push(word, rest: _Stack | None) -> _Stack | None:
+    """The stack with `word` on top of `rest`, its first symbol topmost."""
+    for symbol in reversed(tuple(word)):
+        rest = _Stack(symbol, rest)
+    return rest
+
+
+def _stack_tuple(stack: _Stack | None) -> tuple:
+    out = []
+    while stack is not None:
+        out.append(stack.top)
+        stack = stack.rest
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class PushdownAutomaton:
-    """A word automaton over a stack context, plus its initial stack symbol.
+    """A word automaton over the inner container whose states are
+    (state, stack) configurations, plus its initial stack symbol.
 
     Transitions consult only the top of the stack and replace it by a word of
-    stack symbols; an empty stack admits no transition."""
+    stack symbols; an empty stack admits no transition.  (The stack-context
+    container is the monadic presentation of the same runs.)"""
 
     auto: WordAutomaton
     initial_stack_symbol: Any
 
     def runs(self, word):
-        """Inner-container of (state, stack) pairs after reading `word`."""
-        ctx = self.auto.config(word)
-        return ctx.run(())
+        """Inner-container of (state, stack) pairs after reading `word`; a
+        stack is a tuple, top first."""
+        return self.auto.container.map(
+            lambda config: (config[0], _stack_tuple(config[1])), self.auto.config(word)
+        )
 
     def empty_stack_recognizes(self, word) -> bool:
-        inner = self.auto.container.inner
-        runs = self.runs(word)
-        return any(stack == () for _state, stack in inner.support(runs))
+        inner = self.auto.container
+        return any(stack == () for _state, stack in inner.support(self.runs(word)))
 
 
 def make_pda(
@@ -580,30 +623,21 @@ def make_pda(
     word replaces the top symbol.  With the optional-value inner container
     this is a deterministic PDA; with finite sets, a nondeterministic one.
     """
-    cont = stack_context(inner)
     z0 = initial_stack_symbol
+    bottom = _Stack(z0, None)
+    initial = inner.combine_all(inner.unit((q, bottom)) for q in initials)
 
-    start_states = list(initials)
+    def delta(sym, config):
+        state, stack = config
+        if stack is None:
+            return inner.neutral
+        moves = trans(sym, state, stack.top)
+        return inner.map(lambda mv: (mv[1], _push(mv[0], stack.rest)), moves)
 
-    def start(_stack):
-        return inner.combine_all(inner.unit((q, (z0,))) for q in start_states)
+    def final(config):
+        return bool(finality(config[0]))
 
-    initial = StackVal(start)
-
-    def delta(sym, state):
-        def run(stack):
-            if not stack:
-                return inner.neutral
-            top, rest = stack[0], stack[1:]
-            moves = trans(sym, state, top)
-            return inner.map(lambda mv: (mv[1], tuple(mv[0]) + rest), moves)
-
-        return StackVal(run)
-
-    def final(state):
-        return bool(finality(state))
-
-    return PushdownAutomaton(WordAutomaton(cont, initial, delta, final), z0)
+    return PushdownAutomaton(WordAutomaton(inner, initial, delta, final), z0)
 
 
 # ---------------------------------------------------------------------------

@@ -740,11 +740,20 @@ class GenExprContainer(EffectContainer):
         return GFun(label, tuple(cs), fn)
 
     def expression_action(self, c, wrap, collapse):
-        # Only additive structure is linear in the leaves; anything built
-        # from other operations collapses to a single residual expression.
+        # Sums and the scalings built by act_left/act_right (one constant
+        # factor) are linear in the leaves; anything built from other
+        # operations collapses to a single residual expression.
         def go(node):
             if isinstance(node, GFun) and node.fn is self.weights.plus:
                 return GFun(node.label, tuple(go(a) for a in node.args), node.fn)
+            if (
+                isinstance(node, GFun)
+                and node.fn is self.weights.times
+                and len(node.args) == 2
+                and sum(isinstance(a, GConst) for a in node.args) == 1
+            ):
+                args = tuple(a if isinstance(a, GConst) else go(a) for a in node.args)
+                return GFun(node.label, args, node.fn)
             if isinstance(node, GVar):
                 return GVar(wrap(node.name))
             if node == self.neutral:

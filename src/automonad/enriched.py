@@ -2,24 +2,25 @@
 
 Atoms are tensor pairs of a symbol with variables; substitution (`Sub`) and
 iteration (`Star`) are guarded by a variable, and variables mark where runs
-start.  Specialized atom operations recover word regular expressions (the
-unique variable is the unit) and tree regular expressions (atoms carry one
-variable per child).  Three constructions are provided for each
-specialization: positions (via predecessors), derivation and induction.
+start.  A word atom is a symbol tensored with the unit variable, that is the
+unary tree atom (words read as unary trees), so word regular expressions are
+the enriched expressions over the unit variable and tree regular expressions
+those whose atoms carry one variable per child.  Three constructions are
+provided for each: positions (via predecessors), derivation and induction.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from .algebra import RankedSymbol, StarSemiring
 from .automata import WordAutomaton
 from .containers import EffectContainer
 from .treeauto import BottomUpContainerTA, TopDownContainerTA
-from .util import ExprSyntaxError, Inl, Inr, UNIT, UnsupportedOperation, render
+from .util import Inl, Inr, Scanner, UNIT, UnsupportedOperation, render
 from .wordexpr import PosSym
 
 # ---------------------------------------------------------------------------
@@ -77,9 +78,10 @@ def concat_var(v, e1, e2) -> ESub:
 
 @dataclass(frozen=True)
 class WordAtom:
-    """A word symbol tensored with the unit variable."""
+    """A word symbol tensored with the unit variable: the unary tree atom."""
 
     symbol: Any
+    vars = (UNIT,)  # a class attribute, not a field
 
 
 @dataclass(frozen=True)
@@ -139,70 +141,10 @@ def _render_ranked(s):
     return s.name
 
 
-# ---------------------------------------------------------------------------
-# Atom operations (the per-tensor dispatch)
-# ---------------------------------------------------------------------------
-
-
-class AtomOps:
-    """Everything the generic machinery needs to know about one atom kind."""
-
-    def arity(self, atom) -> int:
-        raise NotImplementedError
-
-    def symbol(self, atom):
-        raise NotImplementedError
-
-    def variables(self, atom) -> tuple:
-        raise NotImplementedError
-
-    def linearize(self, atom, index: int):
-        """Return (positioned atom, next index); only symbols are indexed."""
-        raise NotImplementedError
-
-    def matches(self, atom, symbol) -> bool:
-        """Does an input symbol match this (possibly positioned) atom?"""
-        raise NotImplementedError
-
-
-class WordAtomOps(AtomOps):
-    def arity(self, atom):
-        return 1
-
-    def symbol(self, atom):
-        return atom.symbol
-
-    def variables(self, atom):
-        return (UNIT,)
-
-    def linearize(self, atom, index):
-        return WordAtom(PosSym(index, atom.symbol)), index + 1
-
-    def matches(self, atom, symbol):
-        base = atom.symbol.base if isinstance(atom.symbol, PosSym) else atom.symbol
-        return base == symbol
-
-
-class TreeAtomOps(AtomOps):
-    def arity(self, atom):
-        return len(atom.vars)
-
-    def symbol(self, atom):
-        return atom.symbol
-
-    def variables(self, atom):
-        return atom.vars
-
-    def linearize(self, atom, index):
-        return TreeAtom(PosSym(index, atom.symbol), atom.vars), index + 1
-
-    def matches(self, atom, symbol):
-        base = atom.symbol.base if isinstance(atom.symbol, PosSym) else atom.symbol
-        return base == symbol
-
-
-WORD_ATOMS = WordAtomOps()
-TREE_ATOMS = TreeAtomOps()
+def _matches(atom, symbol) -> bool:
+    """Does an input symbol match this (possibly positioned) atom?"""
+    base = atom.symbol.base if isinstance(atom.symbol, PosSym) else atom.symbol
+    return base == symbol
 
 
 # ---------------------------------------------------------------------------
@@ -259,54 +201,54 @@ def variables_of(e: EnrichedExpression, container: EffectContainer):
     raise TypeError(f"not an enriched expression: {e!r}")
 
 
-def final_symbols(e: EnrichedExpression, atoms: AtomOps, container: EffectContainer):
+def final_symbols(e: EnrichedExpression, container: EffectContainer):
     """Container of the (possibly positioned) symbols ending runs of `e`."""
     w = container.weights
     if isinstance(e, (EEmpty, EVar)):
         return container.neutral
     if isinstance(e, ETensor):
-        return container.unit(atoms.symbol(e.atom))
+        return container.unit(e.atom.symbol)
     if isinstance(e, ESum):
         return container.combine(
-            final_symbols(e.left, atoms, container),
-            final_symbols(e.right, atoms, container),
+            final_symbols(e.left, container),
+            final_symbols(e.right, container),
         )
     if isinstance(e, ESub):
         f1 = container.act_right(
-            final_symbols(e.left, atoms, container),
+            final_symbols(e.left, container),
             nullable_var(e.var, e.right, w),
         )
-        return container.combine(f1, final_symbols(e.right, atoms, container))
+        return container.combine(f1, final_symbols(e.right, container))
     if isinstance(e, EStar):
         return container.act_right(
-            final_symbols(e.body, atoms, container),
+            final_symbols(e.body, container),
             w.star(nullable_var(e.var, e.body, w)),
         )
     raise TypeError(f"not an enriched expression: {e!r}")
 
 
-def final_weight(symbol, e: EnrichedExpression, atoms: AtomOps, weights: StarSemiring):
+def final_weight(symbol, e: EnrichedExpression, weights: StarSemiring):
     """Final weight of one symbol in `e`."""
     if isinstance(e, (EEmpty, EVar)):
         return weights.zero
     if isinstance(e, ETensor):
-        return weights.one if atoms.symbol(e.atom) == symbol else weights.zero
+        return weights.one if e.atom.symbol == symbol else weights.zero
     if isinstance(e, ESum):
         return weights.plus(
-            final_weight(symbol, e.left, atoms, weights),
-            final_weight(symbol, e.right, atoms, weights),
+            final_weight(symbol, e.left, weights),
+            final_weight(symbol, e.right, weights),
         )
     if isinstance(e, ESub):
         return weights.plus(
             weights.times(
-                final_weight(symbol, e.left, atoms, weights),
+                final_weight(symbol, e.left, weights),
                 nullable_var(e.var, e.right, weights),
             ),
-            final_weight(symbol, e.right, atoms, weights),
+            final_weight(symbol, e.right, weights),
         )
     if isinstance(e, EStar):
         return weights.times(
-            final_weight(symbol, e.body, atoms, weights),
+            final_weight(symbol, e.body, weights),
             weights.star(nullable_var(e.var, e.body, weights)),
         )
     raise TypeError(f"not an enriched expression: {e!r}")
@@ -319,8 +261,7 @@ def occurs(v, e: EnrichedExpression) -> bool:
     if isinstance(e, EVar):
         return e.var == v
     if isinstance(e, ETensor):
-        vars_ = e.atom.vars if isinstance(e.atom, TreeAtom) else (UNIT,)
-        return v in vars_
+        return v in e.atom.vars
     if isinstance(e, ESum):
         return occurs(v, e.left) or occurs(v, e.right)
     if isinstance(e, ESub):
@@ -407,15 +348,15 @@ def weighted_sum_decomposition(e: EnrichedExpression, weights: StarSemiring) -> 
     return sorted(counted.items(), key=lambda kv: render(kv[0]))
 
 
-def linearize(e: EnrichedExpression, atoms: AtomOps, start: int = 1) -> EnrichedExpression:
+def linearize(e: EnrichedExpression, start: int = 1) -> EnrichedExpression:
     """Index the symbol side of every atom; variables stay untouched."""
     counter = start
 
     def go(node):
         nonlocal counter
         if isinstance(node, ETensor):
-            atom, counter2 = atoms.linearize(node.atom, counter)
-            counter = counter2
+            atom = replace(node.atom, symbol=PosSym(counter, node.atom.symbol))
+            counter += 1
             return ETensor(atom)
         if isinstance(node, ESum):
             return ESum(go(node.left), go(node.right))
@@ -429,15 +370,8 @@ def linearize(e: EnrichedExpression, atoms: AtomOps, start: int = 1) -> Enriched
 
 
 def delinearize(e: EnrichedExpression) -> EnrichedExpression:
-    def strip_atom(atom):
-        if isinstance(atom, WordAtom) and isinstance(atom.symbol, PosSym):
-            return WordAtom(atom.symbol.base)
-        if isinstance(atom, TreeAtom) and isinstance(atom.symbol, PosSym):
-            return TreeAtom(atom.symbol.base, atom.vars)
-        return atom
-
-    if isinstance(e, ETensor):
-        return ETensor(strip_atom(e.atom))
+    if isinstance(e, ETensor) and isinstance(e.atom.symbol, PosSym):
+        return ETensor(replace(e.atom, symbol=e.atom.symbol.base))
     if isinstance(e, ESum):
         return ESum(delinearize(e.left), delinearize(e.right))
     if isinstance(e, ESub):
@@ -484,14 +418,14 @@ def _substitute(container, v, to_add, c):
     )
 
 
-def _finals_and_vars(e, atoms, container):
+def _finals_and_vars(e, container):
     return container.combine(
-        container.map(Inr, final_symbols(e, atoms, container)),
+        container.map(Inr, final_symbols(e, container)),
         container.map(Inl, variables_of(e, container)),
     )
 
 
-def predecessors(p, e: EnrichedExpression, atoms: AtomOps, container: EffectContainer):
+def predecessors(p, e: EnrichedExpression, container: EffectContainer):
     """Container of the predecessor vectors of a positioned symbol `p`.
 
     Each vector has one `Inl(var)`/`Inr(symbol)` entry per child slot of `p`
@@ -500,31 +434,31 @@ def predecessors(p, e: EnrichedExpression, atoms: AtomOps, container: EffectCont
     if isinstance(e, (EEmpty, EVar)):
         return container.neutral
     if isinstance(e, ETensor):
-        if atoms.symbol(e.atom) == p:
-            vect = tuple(Inl(v) for v in atoms.variables(e.atom))
+        if e.atom.symbol == p:
+            vect = tuple(Inl(v) for v in e.atom.vars)
             return container.unit(vect)
         return container.neutral
     if isinstance(e, ESum):
         return container.combine(
-            predecessors(p, e.left, atoms, container),
-            predecessors(p, e.right, atoms, container),
+            predecessors(p, e.left, container),
+            predecessors(p, e.right, container),
         )
     if isinstance(e, ESub):
-        to_add = _finals_and_vars(e.left, atoms, container)
+        to_add = _finals_and_vars(e.left, container)
         return container.combine(
-            predecessors(p, e.left, atoms, container),
-            _substitute(container, e.var, to_add, predecessors(p, e.right, atoms, container)),
+            predecessors(p, e.left, container),
+            _substitute(container, e.var, to_add, predecessors(p, e.right, container)),
         )
     if isinstance(e, EStar):
         inner = container.combine(
-            container.map(Inr, final_symbols(e.body, atoms, container)),
+            container.map(Inr, final_symbols(e.body, container)),
             container.map(
                 Inl,
                 container.combine(container.unit(e.var), variables_of(e.body, container)),
             ),
         )
         to_add = container.act_right(inner, w.star(nullable_var(e.var, e.body, w)))
-        return _substitute(container, e.var, to_add, predecessors(p, e.body, atoms, container))
+        return _substitute(container, e.var, to_add, predecessors(p, e.body, container))
     raise TypeError(f"not an enriched expression: {e!r}")
 
 
@@ -543,24 +477,24 @@ def word_position_automaton(
     the same weights."""
     w = container.weights
     if variant == "reversed":
-        lin = linearize(reverse_expression(e), WORD_ATOMS)
+        lin = linearize(reverse_expression(e))
 
         def delta(x, state):
             if isinstance(state, Inr) and state.value.base == x:
-                preds = predecessors(state.value, lin, WORD_ATOMS, container)
+                preds = predecessors(state.value, lin, container)
                 return container.map(lambda vect: vect[0], preds)
             return container.neutral
 
         def final(state):
             return w.one if isinstance(state, Inl) else w.zero
 
-        return WordAutomaton(container, _finals_and_vars(lin, WORD_ATOMS, container), delta, final)
+        return WordAutomaton(container, _finals_and_vars(lin, container), delta, final)
     if variant != "forward":
         raise ValueError("variant must be 'reversed' or 'forward'")
-    lin = linearize(e, WORD_ATOMS)
+    lin = linearize(e)
     positions = [a.symbol for a in atoms_of(lin)]
     pred_list = [
-        (q, container.map(lambda vect: vect[0], predecessors(q, lin, WORD_ATOMS, container)))
+        (q, container.map(lambda vect: vect[0], predecessors(q, lin, container)))
         for q in positions
     ]
 
@@ -576,7 +510,7 @@ def word_position_automaton(
 
     def delta(x, state):
         if isinstance(state, Inr) and state.value.base == x:
-            exit_w = final_weight(state.value, lin, WORD_ATOMS, w)
+            exit_w = final_weight(state.value, lin, w)
             return container.combine(
                 container.act_left(exit_w, container.unit(Inl(UNIT))),
                 succs_of(state),
@@ -596,13 +530,13 @@ def word_position_automaton(
 def tree_position_automaton(e: EnrichedExpression, container: EffectContainer) -> TopDownContainerTA:
     """Top-down position automaton: states are variables and positioned
     symbols; transitions follow predecessor vectors."""
-    lin = linearize(e, TREE_ATOMS)
+    lin = linearize(e)
 
     def delta(symbol, state):
         if isinstance(state, Inr):
             pos = state.value
             if pos.base == symbol:
-                return predecessors(pos, lin, TREE_ATOMS, container)
+                return predecessors(pos, lin, container)
         return container.neutral
 
     def var_weight(state):
@@ -611,7 +545,7 @@ def tree_position_automaton(e: EnrichedExpression, container: EffectContainer) -
         return container.neutral
 
     return TopDownContainerTA(
-        container, _finals_and_vars(lin, TREE_ATOMS, container), delta, var_weight
+        container, _finals_and_vars(lin, container), delta, var_weight
     )
 
 
@@ -620,35 +554,35 @@ def tree_position_automaton(e: EnrichedExpression, container: EffectContainer) -
 # ---------------------------------------------------------------------------
 
 
-def enriched_derive(symbol, e: EnrichedExpression, atoms: AtomOps, container: EffectContainer):
+def enriched_derive(symbol, e: EnrichedExpression, container: EffectContainer):
     """Derivative by one (ranked) symbol: a container of vectors of
     continuation expressions, one per child slot."""
     w = container.weights
     if isinstance(e, (EEmpty, EVar)):
         return container.neutral
     if isinstance(e, ETensor):
-        if atoms.matches(e.atom, symbol):
-            return container.unit(tuple(EVar(v) for v in atoms.variables(e.atom)))
+        if _matches(e.atom, symbol):
+            return container.unit(tuple(EVar(v) for v in e.atom.vars))
         return container.neutral
     if isinstance(e, ESum):
         return container.combine(
-            enriched_derive(symbol, e.left, atoms, container),
-            enriched_derive(symbol, e.right, atoms, container),
+            enriched_derive(symbol, e.left, container),
+            enriched_derive(symbol, e.right, container),
         )
     if isinstance(e, ESub):
         left = container.act_left(
             nullable_var(e.var, e.right, w),
-            enriched_derive(symbol, e.left, atoms, container),
+            enriched_derive(symbol, e.left, container),
         )
         right = container.map(
             lambda vect: tuple(ESub(e.var, e.left, d) for d in vect),
-            enriched_derive(symbol, e.right, atoms, container),
+            enriched_derive(symbol, e.right, container),
         )
         return container.combine(left, right)
     if isinstance(e, EStar):
         inner = container.map(
             lambda vect: tuple(ESub(e.var, e, d) for d in vect),
-            enriched_derive(symbol, e.body, atoms, container),
+            enriched_derive(symbol, e.body, container),
         )
         return container.act_left(w.star(nullable_var(e.var, e.body, w)), inner)
     raise TypeError(f"not an enriched expression: {e!r}")
@@ -661,7 +595,7 @@ def enriched_derive_left(symbol, e: EnrichedExpression, container: EffectContain
     if isinstance(e, (EEmpty, EVar)):
         return container.neutral
     if isinstance(e, ETensor):
-        if WORD_ATOMS.matches(e.atom, symbol):
+        if _matches(e.atom, symbol):
             return container.unit(EVar(UNIT))
         return container.neutral
     if isinstance(e, ESum):
@@ -733,7 +667,7 @@ def word_derivation_automaton(
         start = norm(reverse_expression(e))
 
         def delta(x, state):
-            d = enriched_derive(x, state, WORD_ATOMS, container)
+            d = enriched_derive(x, state, container)
             narrowed = _normalize_states(container, d, simplify_sub_var)
             return container.map(lambda vect: vect[0], narrowed)
 
@@ -765,7 +699,7 @@ def tree_derivation_automaton(
     idem = w.plus(w.one, w.one) == w.one
 
     def delta(symbol, state):
-        d = enriched_derive(symbol, state, TREE_ATOMS, container)
+        d = enriched_derive(symbol, state, container)
         return _normalize_states(container, d, simplify_sub_var)
 
     def var_weight(state):
@@ -917,32 +851,17 @@ def _positive_star_pieces(v, p: _Pieces, container) -> _Pieces:
     return _Pieces(init, delta, final)
 
 
-def _tensor_pieces_word(atom: WordAtom, container) -> _Pieces:
-    w = container.weights
-
-    def init(u):
-        return container.unit(Inl(u))
-
-    def delta(symbol, state):
-        if state == Inl(UNIT) and WORD_ATOMS.matches(atom, symbol):
-            return container.unit(Inr(atom.symbol))
-        return container.neutral
-
-    def final(s):
-        return w.one if isinstance(s, Inr) else w.zero
-
-    return _Pieces(init, delta, final)
-
-
-def _tensor_pieces_tree(atom: TreeAtom, container) -> _Pieces:
+def _tensor_pieces(atom, container, tree: bool) -> _Pieces:
     w = container.weights
     expected = tuple(Inl(v) for v in atom.vars)
+    if not tree:
+        (expected,) = expected  # a word source is one state, not a tuple
 
     def init(u):
         return container.unit(Inl(u))
 
-    def delta(symbol, states):
-        if symbol == atom.symbol and states == expected:
+    def delta(symbol, source):  # a state, or a state tuple for trees
+        if source == expected and _matches(atom, symbol):
             return container.unit(Inr(atom.symbol))
         return container.neutral
 
@@ -958,9 +877,7 @@ def _inductive_pieces(e: EnrichedExpression, container, tree: bool) -> _Pieces:
     if isinstance(e, EVar):
         return _var_pieces(e.var, container)
     if isinstance(e, ETensor):
-        if tree:
-            return _tensor_pieces_tree(e.atom, container)
-        return _tensor_pieces_word(e.atom, container)
+        return _tensor_pieces(e.atom, container, tree)
     if isinstance(e, ESum):
         return _sum_pieces(
             _inductive_pieces(e.left, container, tree),
@@ -1074,26 +991,12 @@ def _var_text(v) -> str:
     return "()" if v is UNIT else str(v)
 
 
-class _TreeExprParser:
+class _TreeExprParser(Scanner):
     """Parser for the enriched tree expression format."""
 
     def __init__(self, text: str, alphabet: Sequence[RankedSymbol]):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.by_name = {s.name: s for s in alphabet}
-
-    def error(self, message):
-        raise ExprSyntaxError(message, self.pos)
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
 
     def name(self):
         self.peek()
@@ -1113,12 +1016,6 @@ class _TreeExprParser:
             return UNIT
         return self.name()
 
-    def parse(self):
-        e = self.expr()
-        if self.peek():
-            self.error(f"unexpected {self.peek()!r}")
-        return e
-
     def expr(self):
         e = self.term()
         while self.peek() == "+":
@@ -1135,19 +1032,19 @@ class _TreeExprParser:
         return e
 
     def postfix(self):
+        start = self.depth
         e = self.atom()
         while self.peek() == "*":
             self.eat("*")
+            self.nest()
             e = EStar(self.varref(), e)
+        self.depth = start
         return e
 
     def atom(self):
         ch = self.peek()
         if ch == "(":
-            self.eat("(")
-            e = self.expr()
-            self.eat(")")
-            return e
+            return self.group()
         if ch == "0":
             self.pos += 1
             return E_EMPTY

@@ -406,7 +406,8 @@ def td_explore(
 
 def td_to_dot(auto: TopDownContainerTA, result: TreeExploration, name: str = "treeautomaton") -> str:
     """DOT for a top-down automaton: fan nodes distribute a state over the
-    child states of each transition."""
+    child states of each transition.  Edges into states beyond a truncated
+    exploration are left out."""
     cont = auto.container
     ids, lines = _dot_states(result.states, result.finals, _var_weight_node)
     lines += _dot_starts(ids, cont.weighted_elements(auto.initial))
@@ -422,14 +423,16 @@ def td_to_dot(auto: TopDownContainerTA, result: TreeExploration, name: str = "tr
                 edges.append(f'  {ids[src]} -> __acc{fan} [label="{label}"];')
                 fan += 1
             elif len(vect) == 1:
-                edges.append(f'  {ids[src]} -> {ids[vect[0]]} [label="{label}"];')
+                if vect[0] in ids:
+                    edges.append(f'  {ids[src]} -> {ids[vect[0]]} [label="{label}"];')
             else:
                 node = f"t{fan}"
                 fan += 1
                 edges.append(f'  {node} [shape=point, label=""];')
                 edges.append(f'  {ids[src]} -> {node} [label="{label}"];')
                 for i, child in enumerate(vect):
-                    edges.append(f'  {node} -> {ids[child]} [label="{i + 1}"];')
+                    if child in ids:
+                        edges.append(f'  {node} -> {ids[child]} [label="{i + 1}"];')
     return _dot_graph(name, "TB", lines + edges)
 
 
@@ -439,13 +442,15 @@ def _var_weight_node(var_w):
 
 
 def tree_to_dot(result: TreeExploration, name: str = "treeautomaton") -> str:
-    """DOT text; transitions of arity >= 2 are drawn through a fan node."""
+    """DOT text; transitions of arity >= 2 are drawn through a fan node.
+    Edges into states beyond a truncated exploration are left out."""
     ids, lines = _dot_states(result.states, result.finals, _accepting_node)
     edges = []
     fan = 0
     for src, symbol, targets, _rendered, _value in sorted(
         result.transitions, key=lambda t: (render(t[0]), t[1].name, t[3])
     ):
+        targets = [t for t in targets if t in ids]
         if symbol.arity == 0:
             for t in targets:
                 edges.append(f'  __leaf{fan} [shape=point, label=""];')

@@ -1,4 +1,5 @@
-"""Shared plumbing: canonical rendering, sum-type tags, error types."""
+"""Shared plumbing: canonical rendering, sum-type tags, error types and the
+expression parsers' scanner."""
 
 from __future__ import annotations
 
@@ -21,6 +22,59 @@ class ExprSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+# Deepest nesting of parentheses and unary operators (and of tree children)
+# that the parsers accept.  Deeper input is an ExprSyntaxError: the parsers
+# and the folds over what they build recurse once or more per level.
+MAX_NESTING = 100
+
+
+class Scanner:
+    """Recursive-descent plumbing shared by the expression parsers.
+
+    Subclasses define `expr()`.  `nest()` enters one level of nesting and
+    fails past MAX_NESTING; a construct that ends a nesting restores the
+    `depth` it started at."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def error(self, message):
+        raise ExprSyntaxError(message, self.pos)
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def eat(self, ch):
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def nest(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"expression nested too deeply (more than {MAX_NESTING} levels)")
+
+    def group(self):
+        """A parenthesized `expr()`, one level deeper than its context."""
+        start = self.depth
+        self.eat("(")
+        self.nest()
+        e = self.expr()
+        self.eat(")")
+        self.depth = start
+        return e
+
+    def parse(self):
+        e = self.expr()
+        if self.peek():
+            self.error(f"unexpected {self.peek()!r}")
+        return e
 
 
 class CapExceeded(RuntimeError):

@@ -257,7 +257,7 @@ def sample_tree_from(e, rng: random.Random, container=FINITE_SET, max_depth: int
         symbols = list(alphabet)
         rng.shuffle(symbols)
         for sym in symbols:
-            d = en.enriched_derive(sym, expr, en.TREE_ATOMS, container)
+            d = en.enriched_derive(sym, expr, container)
             options = container.support(d)
             if not options:
                 continue

@@ -31,7 +31,7 @@ from .containers import (
     LinCombContainer,
     OptionalContainer,
 )
-from .util import ExprSyntaxError, UnsupportedOperation, render
+from .util import Scanner, UnsupportedOperation, render
 
 # ---------------------------------------------------------------------------
 # Expression AST
@@ -256,7 +256,7 @@ def expr_to_text(e: WordExpression) -> str:
     return go(e, _PREC_INTER)
 
 
-class _Parser:
+class _Parser(Scanner):
     """Recursive-descent parser for the word expression grammar.
 
     expr   := sum ('&' sum)*
@@ -266,29 +266,6 @@ class _Parser:
     prefixed := '~' prefixed | atom '*'*
     atom   := letter | '1' | '0' | '(' expr ')'
     """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message):
-        raise ExprSyntaxError(message, self.pos)
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self):
-        e = self.expr()
-        if self.peek():
-            self.error(f"unexpected {self.peek()!r}")
-        return e
 
     def expr(self):
         e = self.sum()
@@ -312,14 +289,19 @@ class _Parser:
         return e
 
     def factor(self):
+        start = self.depth
         if self.peek() == "[":
             w = self.scalar()
             self.eat(":")
-            return mult_l(w, self.factor())
-        e = self.prefixed()
-        while self.peek() == ":":
-            self.eat(":")
-            e = mult_r(e, self.scalar())
+            self.nest()
+            e = mult_l(w, self.factor())
+        else:
+            e = self.prefixed()
+            while self.peek() == ":":
+                self.eat(":")
+                self.nest()
+                e = mult_r(e, self.scalar())
+        self.depth = start
         return e
 
     def scalar(self) -> int:
@@ -338,20 +320,19 @@ class _Parser:
     def prefixed(self):
         if self.peek() == "~":
             self.eat("~")
+            self.nest()
             return neg(self.prefixed())
         e = self.atom()
         while self.peek() == "*":
             self.eat("*")
+            self.nest()
             e = star(e)
         return e
 
     def atom(self):
         ch = self.peek()
         if ch == "(":
-            self.eat("(")
-            e = self.expr()
-            self.eat(")")
-            return e
+            return self.group()
         if ch == "1":
             self.pos += 1
             return EPSILON

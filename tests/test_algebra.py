@@ -97,6 +97,11 @@ class TestTrees:
         with pytest.raises(ExprSyntaxError):
             parse_tree("z", [A0])
 
+    def test_parse_depth_limit(self):
+        assert tree_to_text(parse_tree("f(" * 100 + "a" + ")" * 100)).count("f") == 100
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse_tree("f(" * 3000 + "a" + ")" * 3000)
+
     def test_compose_unit_law(self):
         t = Node(G2, (Node(A0), Node(B0)))
         assert tree_compose(HOLE, [t]) == t

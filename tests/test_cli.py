@@ -149,6 +149,16 @@ HOSTILE = [
     ["build", "word"],
     ["build", "word", "--method", "derivation", "(a+b)*.a.(a+b)*", "--caps", "2"],
 ]
+DEEP_STAR = "a"
+for _ in range(1200):
+    DEEP_STAR = f"({DEEP_STAR})*"
+# hostile argvs whose exit code is known exactly
+EXITS = {
+    ("build", "word", "--random", "0", "12", "--method", "derivation", "--weights", "genexpr", "--caps", "2000"): 0,
+    ("weight", "word", DEEP_STAR, "a"): EXIT_PARSE,
+    ("weight", "word", "a" + "*" * 1200, "a"): EXIT_PARSE,
+}
+HOSTILE += [list(argv) for argv in EXITS]
 EXPRESSIONS = {"word": ("[2]:a*.b", "ab"), "tree": ("@a .() (@f(()))*()", "f(a)")}
 PAIRS = [
     [command, kind, "--method", method, "--weights", weights]
@@ -159,13 +169,18 @@ PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("argv", HOSTILE + PAIRS, ids=" ".join)
+def _argv_id(argv):
+    return " ".join(a if len(a) <= 40 else f"{a[:8]}...({len(a)} chars)" for a in argv)
+
+
+@pytest.mark.parametrize("argv", HOSTILE + PAIRS, ids=_argv_id)
 def test_no_traceback(argv, capsys):
     if argv in PAIRS:
         expression, item = EXPRESSIONS[argv[1]]
         argv = argv + ([expression] if argv[0] == "build" else [expression, item])
     code = main(argv)
     assert isinstance(code, int) and code in {0, 2, 3, 4, 5}
+    assert code == EXITS.get(tuple(argv), code)
 
 
 class TestRandom:

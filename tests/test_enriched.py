@@ -14,9 +14,7 @@ from automonad.enriched import (
     ETensor,
     EVar,
     E_EMPTY,
-    TREE_ATOMS,
     TreeAtom,
-    WORD_ATOMS,
     WordAtom,
     aci_normalize,
     atoms_of,
@@ -92,15 +90,15 @@ class TestVariablesOf:
 
 class TestFinal:
     def test_empty(self):
-        assert final_symbols(E_EMPTY, WORD_ATOMS, FINITE_SET) == frozenset()
+        assert final_symbols(E_EMPTY, FINITE_SET) == frozenset()
 
     def test_tensor_weight_one(self):
-        assert final_weight("f", ETensor(WordAtom("f")), WORD_ATOMS, INTEGERS) == 1
+        assert final_weight("f", ETensor(WordAtom("f")), INTEGERS) == 1
 
     def test_star_clause_arithmetic(self):
         e = EStar("v", ETensor(WordAtom("f")))
         # star(nullable_var(v, atom)) = star(zero) = one
-        assert final_weight("f", e, WORD_ATOMS, INTEGERS) == 1
+        assert final_weight("f", e, INTEGERS) == 1
 
 
 class TestStructuralOps:
@@ -135,6 +133,7 @@ class TestStructuralOps:
         assert aci_normalize(e, simplify_sub_var=False) == e
 
     def test_occurs(self):
+        assert WordAtom("a").vars == (UNIT,)  # the unary tree atom
         assert occurs(UNIT, watom("a"))
         assert occurs("x", tatom(G, "x", "y"))
         assert not occurs("z", tatom(G, "x", "y"))
@@ -143,38 +142,38 @@ class TestStructuralOps:
 class TestLinearize:
     def test_word_atom_indexing(self):
         e = ESub(UNIT, watom("f"), watom("f"))
-        lin = linearize(e, WORD_ATOMS, 3)
+        lin = linearize(e, 3)
         assert lin == ESub(
             UNIT, ETensor(WordAtom(PosSym(3, "f"))), ETensor(WordAtom(PosSym(4, "f")))
         )
 
     def test_variables_untouched(self):
         e = tatom(G, "x", "y")
-        lin = linearize(e, TREE_ATOMS)
+        lin = linearize(e)
         assert lin.atom.vars == ("x", "y")
         assert lin.atom.symbol == PosSym(1, G)
 
     def test_delinearize_inverse(self):
         for seed in range(15):
             e = random_tree_expression(seed, 4)
-            assert delinearize(linearize(e, TREE_ATOMS)) == e
+            assert delinearize(linearize(e)) == e
 
 
 class TestPredecessors:
     def test_tensor_match_yields_variable_vector(self):
-        e = linearize(tatom(G, "x", "y"), TREE_ATOMS)
+        e = linearize(tatom(G, "x", "y"))
         pos = e.atom.symbol
-        preds = predecessors(pos, e, TREE_ATOMS, FINITE_SET)
+        preds = predecessors(pos, e, FINITE_SET)
         assert preds == frozenset({(Inl("x"), Inl("y"))})
 
     def test_empty_has_none(self):
-        assert predecessors(PosSym(1, "a"), E_EMPTY, WORD_ATOMS, FINITE_SET) == frozenset()
+        assert predecessors(PosSym(1, "a"), E_EMPTY, FINITE_SET) == frozenset()
 
     def test_sub_substitution_step(self):
         # b .() a : predecessor of a's position is b's position
-        e = linearize(ESub(UNIT, watom("b"), watom("a")), WORD_ATOMS)
+        e = linearize(ESub(UNIT, watom("b"), watom("a")))
         b_pos, a_pos = [atom.symbol for atom in atoms_of(e)]
-        preds = predecessors(a_pos, e, WORD_ATOMS, FINITE_SET)
+        preds = predecessors(a_pos, e, FINITE_SET)
         assert preds == frozenset({(Inr(b_pos),)})
 
 
@@ -239,18 +238,18 @@ class TestWordAutomata:
 
 class TestDerive:
     def test_tensor_yields_variables(self):
-        d = enriched_derive(G, tatom(G, "x", "y"), TREE_ATOMS, FINITE_SET)
+        d = enriched_derive(G, tatom(G, "x", "y"), FINITE_SET)
         assert d == frozenset({(EVar("x"), EVar("y"))})
 
     def test_empty_is_neutral(self):
-        assert enriched_derive(A, E_EMPTY, TREE_ATOMS, FINITE_SET) == frozenset()
+        assert enriched_derive(A, E_EMPTY, FINITE_SET) == frozenset()
 
     def test_sum_is_combine(self):
         e1, e2 = tatom(A), tatom(A)
-        both = enriched_derive(A, ESum(e1, e2), TREE_ATOMS, FINITE_SET)
+        both = enriched_derive(A, ESum(e1, e2), FINITE_SET)
         assert both == FINITE_SET.combine(
-            enriched_derive(A, e1, TREE_ATOMS, FINITE_SET),
-            enriched_derive(A, e2, TREE_ATOMS, FINITE_SET),
+            enriched_derive(A, e1, FINITE_SET),
+            enriched_derive(A, e2, FINITE_SET),
         )
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,11 @@ from automonad.algebra import (
     subtrees,
 )
 from automonad.containers import DETERMINISTIC, FINITE_SET
+from automonad.enriched import (
+    DEFAULT_TREE_ALPHABET,
+    parse_tree_expression,
+    tree_derivation_automaton,
+)
 from automonad.treeauto import (
     BottomUpContainerTA,
     BottomUpDetTA,
@@ -344,6 +350,13 @@ class TestExploration:
         assert result.truncated
         assert len(result.states) == 3
 
+    def test_truncated_dot_names_only_kept_states(self):
+        leaves = [RankedSymbol(name, 0) for name in "abcde"]
+        auto = bu_pack(FINITE_SET, lambda sym, _states: frozenset({sym.name}), bool)
+        result = tree_explore(auto, leaves, max_states=3)
+        assert result.truncated
+        _assert_names_only_kept_states(tree_to_dot(result), result)
+
     def test_determinized_dump_golden(self):
         det = bu_determinize(figure_nta())
         result = tree_explore(det, ALPHABET, max_states=50)
@@ -378,3 +391,16 @@ class TestExploration:
         dot = td_to_dot(auto, result)
         assert len(calls) == len(set(calls)) == 3 * len(ALPHABET)
         assert 'label="g' in dot
+
+    def test_truncated_td_dot_names_only_kept_states(self):
+        e = parse_tree_expression("@a .() (@g((),()) + @f(()))*()")
+        auto = tree_derivation_automaton(e, FINITE_SET)
+        result = td_explore(auto, DEFAULT_TREE_ALPHABET, max_states=1)
+        assert result.truncated
+        _assert_names_only_kept_states(td_to_dot(auto, result), result)
+
+
+def _assert_names_only_kept_states(dot, result):
+    assert dot.startswith("digraph")
+    kept = {f"q{i}" for i in range(len(result.states))}
+    assert set(re.findall(r"\bq\d+\b", dot)) == kept

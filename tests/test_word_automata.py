@@ -463,6 +463,17 @@ class TestPushdown:
             assert not pda.empty_stack_recognizes(w), w
             checked += 1
 
+    def test_long_words_do_not_overflow(self):
+        det = det_pda()
+        for n in (1000, 5000):
+            assert det.empty_stack_recognizes("A" * n + "B" * (n + 1))
+        assert not det.empty_stack_recognizes("A" * 1000 + "B" * 1000)
+        assert nondet_pda().empty_stack_recognizes("A" * 1000 + "B" * 2001)
+
+    def test_runs_are_states_with_tuple_stacks(self):
+        assert det_pda().runs("AA") == (0, ("*", "*", "*"))
+        assert sorted(nondet_pda().runs("AB")) == [(3, ("*",)), (3, ("*", "*"))]
+
 
 def palindrome_pda():
     """Nonempty even-length palindromes over {a, b}: push the first half

@@ -77,6 +77,18 @@ class TestParser:
             parse_expression("a+)")
         assert err.value.position == 2
 
+    def test_nesting_past_the_limit_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse_expression("(" * 1200 + "a" + ")" * 1200)
+
+    def test_hundred_levels_parse(self):
+        nested = "a"
+        for _ in range(100):
+            nested = f"({nested})*"
+        for text in (nested, "(" * 100 + "a" + ")" * 100, "a" + "*" * 100):
+            auto = derivation_automaton(parse_expression(text), FINITE_SET)
+            assert auto.recognizes("a")
+
     def test_round_trip_simple(self):
         for seed in range(40):
             for palette in (SIMPLE_OPS, SCALAR_OPS, BOOLEAN_OPS):
@@ -247,6 +259,24 @@ class TestDerivation:
         auto = derivation_automaton(parse_expression("~(a*)"), FINITE_SET)
         assert not auto.recognizes("aa")
         assert auto.recognizes("ab")
+
+    @pytest.mark.parametrize(
+        "palette, counts",
+        [(SIMPLE_OPS, [6, 5, 7, 7, 6, 6, 7, 5]), (SCALAR_OPS, [4, 5, 5, 6, 4, 5, 4, 4])],
+    )
+    def test_gen_expr_states_close_like_linear_combinations(self, palette, counts):
+        # scalings by a constant stay linear, so gen_expr reaches the same
+        # derivation states as lin_comb
+        for seed, expected in enumerate(counts):
+            e = random_expression(seed, 12, "abc", palette)
+            gen = derivation_automaton(e, gen_expr(INTEGERS))
+            for auto in (gen, derivation_automaton(e, INT_LIN)):
+                result = explore(auto, "abc", max_states=200)
+                assert (len(result.states), result.truncated) == (expected, False), seed
+            oracle = brute_force_language(e, 4, INTEGERS)
+            for n in range(5):
+                for w in itertools.product("abc", repeat=n):
+                    assert gen.weight(w) == oracle.get(w, 0), (seed, w)
 
     def test_antimirov_bound_on_linear_expressions(self):
         for seed in range(30):
