@@ -123,14 +123,13 @@ class ExplorationResult:
         return "\n".join(sorted(t.dump_line() for t in self.transitions))
 
 
-def _breadth_first(roots, successors: Callable, max_states: int, max_depth: int | None = None):
+def _breadth_first(roots, successors: Callable, max_states: int):
     """Breadth-first closure of `roots` under `successors(state)`, which
     yields target states (and may record the transitions it computes).
 
     Each reached state is expanded once.  A root or target beyond
-    `max_states`, or a level beyond `max_depth`, is skipped and sets the
-    truncated flag.  Returns the reached states in discovery order and that
-    flag."""
+    `max_states` is skipped and sets the truncated flag.  Returns the reached
+    states in discovery order and that flag."""
     seen: dict = {}
     truncated = False
 
@@ -146,17 +145,9 @@ def _breadth_first(roots, successors: Callable, max_states: int, max_depth: int 
                 fresh.append(target)
         return fresh
 
-    frontier = admit(roots)
-    depth = 0
-    while frontier:
-        if max_depth is not None and depth >= max_depth:
-            truncated = True
-            break
-        nxt: list = []
-        for state in frontier:
-            nxt += admit(successors(state))
-        frontier = nxt
-        depth += 1
+    worklist = admit(roots)
+    for state in worklist:  # grows as the loop admits targets
+        worklist += admit(successors(state))
     return list(seen), truncated
 
 
@@ -164,7 +155,6 @@ def explore(
     auto: WordAutomaton,
     alphabet: Sequence,
     max_states: int = DEFAULT_MAX_STATES,
-    max_depth: int | None = None,
 ) -> ExplorationResult:
     """Breadth-first closure of the states reachable from the initial
     configuration.  Each (state, symbol) transition is computed once; the
@@ -180,9 +170,7 @@ def explore(
             )
             yield from container.support(value)
 
-    reached, truncated = _breadth_first(
-        container.support(auto.initial), successors, max_states, max_depth
-    )
+    reached, truncated = _breadth_first(container.support(auto.initial), successors, max_states)
     states = sorted(reached, key=render)
     finals = {s: auto.final(s) for s in states}
     return ExplorationResult(

@@ -7,6 +7,9 @@ unary tree atom (words read as unary trees), so word regular expressions are
 the enriched expressions over the unit variable and tree regular expressions
 those whose atoms carry one variable per child.  Three constructions are
 provided for each: positions (via predecessors), derivation and induction.
+The reversed word position and derivation automata, and the word inductive
+one, are the tree automata read along unary trees; the forward word variants
+are written independently.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from .algebra import RankedSymbol, StarSemiring
@@ -284,49 +288,46 @@ def reverse_expression(e: EnrichedExpression) -> EnrichedExpression:
     raise TypeError(f"not an enriched expression: {e!r}")
 
 
-def aci_normalize(
-    e: EnrichedExpression,
-    simplify_sub_var: bool = True,
-    idempotent: bool = True,
-) -> EnrichedExpression:
+def aci_normalize(e: EnrichedExpression, weights: StarSemiring) -> EnrichedExpression:
     """Flatten and sort sums, dropping empty terms; duplicates are removed
-    only when addition is idempotent (dedup changes weights over the
-    integers).  Optionally rewrites `Sub(v, e, Var v) -> e` when `v` does not
-    occur in `e` (tree-state simplification)."""
-    if isinstance(e, (EEmpty, EVar, ETensor)):
-        return e
-    if isinstance(e, ESum):
-        terms: list = []
+    only when one + one = one in `weights` (dedup changes weights over the
+    integers).  Rewrites `Sub(v, e, Var v) -> e` when `v` does not occur in
+    `e`."""
+    dedupe = weights.plus(weights.one, weights.one) == weights.one
 
-        def collect(node):
-            if isinstance(node, ESum):
-                collect(node.left)
-                collect(node.right)
-            else:
-                norm = aci_normalize(node, simplify_sub_var, idempotent)
-                if not isinstance(norm, EEmpty):
-                    terms.append(norm)
+    def go(e):
+        if isinstance(e, (EEmpty, EVar, ETensor)):
+            return e
+        if isinstance(e, ESum):
+            terms: list = []
 
-        collect(e)
-        if idempotent:
-            terms = sorted(set(terms), key=render)
-        else:
-            terms = sorted(terms, key=render)
-        if not terms:
-            return E_EMPTY
-        out = terms[0]
-        for t in terms[1:]:
-            out = ESum(out, t)
-        return out
-    if isinstance(e, ESub):
-        left = aci_normalize(e.left, simplify_sub_var, idempotent)
-        right = aci_normalize(e.right, simplify_sub_var, idempotent)
-        if simplify_sub_var and right == EVar(e.var) and not occurs(e.var, left):
-            return left
-        return ESub(e.var, left, right)
-    if isinstance(e, EStar):
-        return EStar(e.var, aci_normalize(e.body, simplify_sub_var, idempotent))
-    raise TypeError(f"not an enriched expression: {e!r}")
+            def collect(node):
+                if isinstance(node, ESum):
+                    collect(node.left)
+                    collect(node.right)
+                else:
+                    norm = go(node)
+                    if not isinstance(norm, EEmpty):
+                        terms.append(norm)
+
+            collect(e)
+            terms = sorted(set(terms) if dedupe else terms, key=render)
+            if not terms:
+                return E_EMPTY
+            out = terms[0]
+            for t in terms[1:]:
+                out = ESum(out, t)
+            return out
+        if isinstance(e, ESub):
+            left, right = go(e.left), go(e.right)
+            if right == EVar(e.var) and not occurs(e.var, left):
+                return left
+            return ESub(e.var, left, right)
+        if isinstance(e, EStar):
+            return EStar(e.var, go(e.body))
+        raise TypeError(f"not an enriched expression: {e!r}")
+
+    return go(e)
 
 
 def weighted_sum_decomposition(e: EnrichedExpression, weights: StarSemiring) -> list:
@@ -467,30 +468,34 @@ def predecessors(p, e: EnrichedExpression, container: EffectContainer):
 # ---------------------------------------------------------------------------
 
 
+def _read_root_first(td: TopDownContainerTA) -> WordAutomaton:
+    """A top-down tree automaton read along unary trees, root first: each
+    step keeps the one child state, and a state's final weight is what it
+    pays toward the unit variable."""
+    c, w = td.container, td.container.weights
+
+    def delta(x, state):
+        return c.map(lambda vect: vect[0], td.delta(x, state))
+
+    def final(state):
+        return c.finality_step(td.var_weight(state), lambda u: w.one if u == UNIT else w.zero)
+
+    return WordAutomaton(c, td.initial, delta, final)
+
+
 def word_position_automaton(
     e: EnrichedExpression, container: EffectContainer, variant: str = "reversed"
 ) -> WordAutomaton:
     """Position automaton of a word-shaped enriched expression.
 
-    `reversed` linearizes the reversed expression and walks predecessor
-    links; `forward` keeps the expression and inverts the links.  Both give
-    the same weights."""
-    w = container.weights
+    `reversed` is the top-down tree position automaton of the reversed
+    expression, read root first; `forward` keeps the expression and inverts
+    the predecessor links.  Both give the same weights."""
     if variant == "reversed":
-        lin = linearize(reverse_expression(e))
-
-        def delta(x, state):
-            if isinstance(state, Inr) and state.value.base == x:
-                preds = predecessors(state.value, lin, container)
-                return container.map(lambda vect: vect[0], preds)
-            return container.neutral
-
-        def final(state):
-            return w.one if isinstance(state, Inl) else w.zero
-
-        return WordAutomaton(container, _finals_and_vars(lin, container), delta, final)
+        return _read_root_first(tree_position_automaton(reverse_expression(e), container))
     if variant != "forward":
         raise ValueError("variant must be 'reversed' or 'forward'")
+    w = container.weights
     lin = linearize(e)
     positions = [a.symbol for a in atoms_of(lin)]
     pred_list = [
@@ -622,25 +627,20 @@ def enriched_derive_left(symbol, e: EnrichedExpression, container: EffectContain
     raise TypeError(f"not an enriched expression: {e!r}")
 
 
-def _normalize_states(container, c, simplify_sub_var: bool):
+def _normalize_states(container, c):
     """ACI-normalize every expression in a derivation step's vectors, folding
     duplicate summands into container coefficients so that normalization
     preserves weights over any semiring."""
-
     w = container.weights
-    idem = w.plus(w.one, w.one) == w.one
 
     def norm_vector(vect):
-        parts = []
-        for d in vect:
-            normed = aci_normalize(d, simplify_sub_var, idem)
-            parts.append(weighted_sum_decomposition(normed, container.weights))
+        parts = [weighted_sum_decomposition(aci_normalize(d, w), w) for d in vect]
         out = container.neutral
         for combo in itertools.product(*parts):
-            weight = container.weights.one
+            weight = w.one
             exprs = []
             for term, k in combo:
-                weight = container.weights.times(weight, k)
+                weight = w.times(weight, k)
                 exprs.append(term)
             piece = container.act_left(weight, container.unit(tuple(exprs)))
             out = container.combine(out, piece)
@@ -650,64 +650,43 @@ def _normalize_states(container, c, simplify_sub_var: bool):
 
 
 def word_derivation_automaton(
-    e: EnrichedExpression,
-    container: EffectContainer,
-    orientation: str = "reversed",
-    simplify_sub_var: bool = False,
+    e: EnrichedExpression, container: EffectContainer, orientation: str = "reversed"
 ) -> WordAutomaton:
     """Derivation automaton of a word-shaped enriched expression.
 
-    `reversed` derives the reversed expression by the last-read symbol (the
-    construction that generalizes to trees); `forward` uses the mirrored
-    clause set directly."""
-    w = container.weights
-    idem = w.plus(w.one, w.one) == w.one
-    norm = lambda d: aci_normalize(d, simplify_sub_var, idem)
+    `reversed` is the top-down tree derivation automaton of the reversed
+    expression, read root first; `forward` derives by the first symbol with
+    the mirrored clause set."""
     if orientation == "reversed":
-        start = norm(reverse_expression(e))
-
-        def delta(x, state):
-            d = enriched_derive(x, state, container)
-            narrowed = _normalize_states(container, d, simplify_sub_var)
-            return container.map(lambda vect: vect[0], narrowed)
-
-    elif orientation == "forward":
-        start = norm(e)
-
-        def delta(x, state):
-            d = container.map(lambda expr: (expr,), enriched_derive_left(x, state, container))
-            narrowed = _normalize_states(container, d, simplify_sub_var)
-            return container.map(lambda vect: vect[0], narrowed)
-
-    else:
+        return _read_root_first(tree_derivation_automaton(reverse_expression(e), container))
+    if orientation != "forward":
         raise ValueError("orientation must be 'reversed' or 'forward'")
+    w = container.weights
+
+    def delta(x, state):
+        d = container.map(lambda expr: (expr,), enriched_derive_left(x, state, container))
+        return container.map(lambda vect: vect[0], _normalize_states(container, d))
 
     return WordAutomaton(
         container,
-        container.unit(start),
+        container.unit(aci_normalize(e, w)),
         delta,
         lambda state: nullable_var(UNIT, state, w),
     )
 
 
-def tree_derivation_automaton(
-    e: EnrichedExpression, container: EffectContainer, simplify_sub_var: bool = True
-) -> TopDownContainerTA:
+def tree_derivation_automaton(e: EnrichedExpression, container: EffectContainer) -> TopDownContainerTA:
     """Top-down derivation automaton with expression states."""
 
-    w = container.weights
-    idem = w.plus(w.one, w.one) == w.one
-
     def delta(symbol, state):
-        d = enriched_derive(symbol, state, container)
-        return _normalize_states(container, d, simplify_sub_var)
+        return _normalize_states(container, enriched_derive(symbol, state, container))
 
     def var_weight(state):
         return variables_of(state, container)
 
     return TopDownContainerTA(
         container,
-        container.unit(aci_normalize(e, simplify_sub_var, idem)),
+        container.unit(aci_normalize(e, container.weights)),
         delta,
         var_weight,
     )
@@ -724,7 +703,7 @@ class _Pieces:
     transition and finality maps."""
 
     init: Callable[[Any], Any]
-    delta: Callable  # word: (symbol, state); tree: (symbol, state tuple)
+    delta: Callable[[Any, tuple], Any]  # (symbol, child state tuple)
     final: Callable[[Any], Any]
 
 
@@ -749,7 +728,10 @@ def _var_weight_of(p: _Pieces, container, var):
     return container.finality_step(p.init(var), p.final)
 
 
-def _sum_pieces(p1: _Pieces, p2: _Pieces, container, tree: bool) -> _Pieces:
+_value = attrgetter("value")  # of an Inl/Inr state
+
+
+def _sum_pieces(p1: _Pieces, p2: _Pieces, container) -> _Pieces:
     def init(u):
         return container.combine(
             container.map(Inl, p1.init(u)), container.map(Inr, p2.init(u))
@@ -758,41 +740,29 @@ def _sum_pieces(p1: _Pieces, p2: _Pieces, container, tree: bool) -> _Pieces:
     def final(s):
         return p1.final(s.value) if isinstance(s, Inl) else p2.final(s.value)
 
-    if tree:
-
-        def delta(symbol, states):
-            out = container.neutral
-            if all(isinstance(s, Inl) for s in states):
-                out = container.combine(
-                    out,
-                    container.map(
-                        Inl, p1.delta(symbol, tuple(s.value for s in states))
-                    ),
-                )
-            if all(isinstance(s, Inr) for s in states):
-                out = container.combine(
-                    out,
-                    container.map(
-                        Inr, p2.delta(symbol, tuple(s.value for s in states))
-                    ),
-                )
-            return out
-
-    else:
-
-        def delta(symbol, state):
-            if isinstance(state, Inl):
-                return container.map(Inl, p1.delta(symbol, state.value))
-            return container.map(Inr, p2.delta(symbol, state.value))
+    def delta(symbol, states):
+        # children from one side fire that side; a leaf fires both
+        sides = set(map(type, states))
+        if len(sides) > 1:
+            return container.neutral
+        values = tuple(map(_value, states))
+        if not sides:
+            return container.combine(
+                container.map(Inl, p1.delta(symbol, values)),
+                container.map(Inr, p2.delta(symbol, values)),
+            )
+        if Inl in sides:
+            return container.map(Inl, p1.delta(symbol, values))
+        return container.map(Inr, p2.delta(symbol, values))
 
     return _Pieces(init, delta, final)
 
 
-def _sub_pieces(v, p1: _Pieces, p2: _Pieces, container, tree: bool) -> _Pieces:
+def _sub_pieces(v, p1: _Pieces, p2: _Pieces, container) -> _Pieces:
     """Substitution: runs of p1 hop into p2's configuration for `v` at their
     final states; only p2's states are final."""
     w = container.weights
-    base = _sum_pieces(p1, p2, container, tree)
+    base = _sum_pieces(p1, p2, container)
 
     def hop(state):
         if isinstance(state, Inl):
@@ -804,8 +774,8 @@ def _sub_pieces(v, p1: _Pieces, p2: _Pieces, container, tree: bool) -> _Pieces:
             )
         return container.unit(state)
 
-    def delta(symbol, source):  # a state, or a state tuple for trees
-        return container.bind(base.delta(symbol, source), hop)
+    def delta(symbol, states):
+        return container.bind(base.delta(symbol, states), hop)
 
     def init(u):
         # a zero-length p1 run from u continues straight into p2's v entry;
@@ -837,8 +807,8 @@ def _positive_star_pieces(v, p: _Pieces, container) -> _Pieces:
             container.act_left(p.final(state), p.init(v)),
         )
 
-    def delta(symbol, source):  # a state, or a state tuple for trees
-        return container.bind(p.delta(symbol, source), hop)
+    def delta(symbol, states):
+        return container.bind(p.delta(symbol, states), hop)
 
     def init(u):
         if u == v:
@@ -851,17 +821,15 @@ def _positive_star_pieces(v, p: _Pieces, container) -> _Pieces:
     return _Pieces(init, delta, final)
 
 
-def _tensor_pieces(atom, container, tree: bool) -> _Pieces:
+def _tensor_pieces(atom, container) -> _Pieces:
     w = container.weights
     expected = tuple(Inl(v) for v in atom.vars)
-    if not tree:
-        (expected,) = expected  # a word source is one state, not a tuple
 
     def init(u):
         return container.unit(Inl(u))
 
-    def delta(symbol, source):  # a state, or a state tuple for trees
-        if source == expected and _matches(atom, symbol):
+    def delta(symbol, states):
+        if states == expected and _matches(atom, symbol):
             return container.unit(Inr(atom.symbol))
         return container.neutral
 
@@ -871,39 +839,38 @@ def _tensor_pieces(atom, container, tree: bool) -> _Pieces:
     return _Pieces(init, delta, final)
 
 
-def _inductive_pieces(e: EnrichedExpression, container, tree: bool) -> _Pieces:
+def _inductive_pieces(e: EnrichedExpression, container) -> _Pieces:
     if isinstance(e, EEmpty):
         return _empty_pieces(container)
     if isinstance(e, EVar):
         return _var_pieces(e.var, container)
     if isinstance(e, ETensor):
-        return _tensor_pieces(e.atom, container, tree)
+        return _tensor_pieces(e.atom, container)
     if isinstance(e, ESum):
         return _sum_pieces(
-            _inductive_pieces(e.left, container, tree),
-            _inductive_pieces(e.right, container, tree),
+            _inductive_pieces(e.left, container),
+            _inductive_pieces(e.right, container),
             container,
-            tree,
         )
     if isinstance(e, ESub):
         return _sub_pieces(
             e.var,
-            _inductive_pieces(e.left, container, tree),
-            _inductive_pieces(e.right, container, tree),
+            _inductive_pieces(e.left, container),
+            _inductive_pieces(e.right, container),
             container,
-            tree,
         )
     if isinstance(e, EStar):
-        inner = _positive_star_pieces(e.var, _inductive_pieces(e.body, container, tree), container)
-        return _sum_pieces(inner, _var_pieces(e.var, container), container, tree)
+        inner = _positive_star_pieces(e.var, _inductive_pieces(e.body, container), container)
+        return _sum_pieces(inner, _var_pieces(e.var, container), container)
     raise TypeError(f"not an enriched expression: {e!r}")
 
 
 def word_inductive_automaton(e: EnrichedExpression, container: EffectContainer) -> WordAutomaton:
-    """Structural construction of a word automaton; the initial configuration
-    is the unit variable's."""
-    p = _inductive_pieces(e, container, tree=False)
-    return WordAutomaton(container, p.init(UNIT), p.delta, p.final)
+    """The bottom-up inductive tree automaton read along unary trees, leaf
+    first: the initial configuration is the unit variable's, and each step
+    fires on the one child state."""
+    bu = tree_inductive_automaton(e, container)
+    return WordAutomaton(container, bu.init(UNIT), lambda x, s: bu.delta(x, (s,)), bu.final)
 
 
 def tree_inductive_automaton(
@@ -911,7 +878,7 @@ def tree_inductive_automaton(
 ) -> BottomUpContainerTA:
     """Structural construction of a bottom-up tree automaton; holes draw
     their configurations from the per-variable initial morphism."""
-    p = _inductive_pieces(e, container, tree=True)
+    p = _inductive_pieces(e, container)
     return BottomUpContainerTA(container, p.init, p.delta, p.final)
 
 
@@ -1017,18 +984,19 @@ class _TreeExprParser(Scanner):
         return self.name()
 
     def expr(self):
+        start = self.depth
         e = self.term()
-        while self.peek() == "+":
-            self.eat("+")
+        while self.chained("+"):
             e = ESum(e, self.term())
+        self.depth = start
         return e
 
     def term(self):
+        start = self.depth
         e = self.postfix()
-        while self.peek() == ".":
-            self.eat(".")
-            v = self.varref()
-            e = ESub(v, e, self.postfix())
+        while self.chained("."):
+            e = ESub(self.varref(), e, self.postfix())
+        self.depth = start
         return e
 
     def postfix(self):

@@ -24,9 +24,10 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-# Deepest nesting of parentheses and unary operators (and of tree children)
-# that the parsers accept.  Deeper input is an ExprSyntaxError: the parsers
-# and the folds over what they build recurse once or more per level.
+# Deepest nesting of parentheses, unary operators and binary chain operands
+# (and of tree children) that the parsers accept.  Deeper input is an
+# ExprSyntaxError: the parsers and the folds over what they build recurse
+# once or more per level.
 MAX_NESTING = 100
 
 
@@ -35,7 +36,9 @@ class Scanner:
 
     Subclasses define `expr()`.  `nest()` enters one level of nesting and
     fails past MAX_NESTING; a construct that ends a nesting restores the
-    `depth` it started at."""
+    `depth` it started at.  Each operand after the first of a binary chain
+    is one level deeper (`chained()`), as it is in the left-nested tree the
+    chain folds into."""
 
     def __init__(self, text: str):
         self.text = text
@@ -69,6 +72,15 @@ class Scanner:
         self.eat(")")
         self.depth = start
         return e
+
+    def chained(self, operator: str) -> bool:
+        """Eat `operator` if it comes next, entering the nesting level of
+        the chain operand after it; the chain restores its start `depth`."""
+        if self.peek() != operator:
+            return False
+        self.pos += 1
+        self.nest()
+        return True
 
     def parse(self):
         e = self.expr()

@@ -138,6 +138,25 @@ def _compare(report, instance, expr_text, probe_text, weights):
             )
 
 
+def _compare_probes(report, instance, expr_text, builders, probes, probe_text):
+    """Compare the "method/bool" weight functions among themselves on each
+    probe, the "method/int" ones likewise, and boolean against integer
+    membership."""
+    bool_names = [n for n in builders if n.endswith("/bool")]
+    int_names = [n for n in builders if n.endswith("/int")]
+    for probe in probes:
+        text = probe_text(probe)
+        bool_weights = {n: bool(builders[n](probe)) for n in bool_names}
+        _compare(report, instance, expr_text, text, bool_weights)
+        int_weights = {n: builders[n](probe) for n in int_names}
+        _compare(report, instance, expr_text, text, int_weights)
+        member = {
+            "bool": bool_weights[bool_names[0]],
+            "int-nonzero": int_weights[int_names[0]] != 0,
+        }
+        _compare(report, instance, expr_text, text, member)
+
+
 def sample_word_from(e, rng: random.Random, max_len: int = 10):
     """Draw a word from the expression's language by following random
     derivatives; None when sampling dead-ends."""
@@ -216,20 +235,10 @@ def validate_words(
         e = wx.random_expression(0, op_count, alphabet, palette, rng=rng)
         text = wx.expr_to_text(e)
         builders = word_constructions(e, include_enriched=simple, mutate=mutate)
-        bool_names = [n for n in builders if n.endswith("/bool")]
-        int_names = [n for n in builders if n.endswith("/int")]
-        for w in word_probes(e, rng, probes, alphabet, max_len):
-            word_text = "".join(str(s) for s in w)
-            bool_weights = {n: bool(builders[n](w)) for n in bool_names}
-            _compare(report, i, text, word_text, bool_weights)
-            int_weights = {n: builders[n](w) for n in int_names}
-            _compare(report, i, text, word_text, int_weights)
-            # boolean and integer runs must agree on membership
-            member = {
-                "bool": bool_weights[bool_names[0]],
-                "int-nonzero": int_weights[int_names[0]] != 0,
-            }
-            _compare(report, i, text, word_text, member)
+        _compare_probes(
+            report, i, text, builders, word_probes(e, rng, probes, alphabet, max_len),
+            lambda w: "".join(str(s) for s in w),
+        )
     return report
 
 
@@ -264,7 +273,7 @@ def sample_tree_from(e, rng: random.Random, container=FINITE_SET, max_depth: int
             vect = rng.choice(sorted(options, key=render))
             children = []
             for sub in vect:
-                child = grow(en.aci_normalize(sub), depth + 1)
+                child = grow(en.aci_normalize(sub, container.weights), depth + 1)
                 if child is None:
                     break
                 children.append(child)
@@ -272,7 +281,7 @@ def sample_tree_from(e, rng: random.Random, container=FINITE_SET, max_depth: int
                 return Node(sym, tuple(children))
         return None
 
-    return grow(en.aci_normalize(e), 0)
+    return grow(en.aci_normalize(e, container.weights), 0)
 
 
 def tree_probes(e, rng: random.Random, count: int, alphabet, max_depth: int = 5):
@@ -307,17 +316,7 @@ def validate_trees(
         e = en.random_tree_expression(0, size, alphabet, rng=rng)
         text = en.expression_to_text(e)
         builders = tree_constructions(e, mutate=mutate)
-        bool_names = [n for n in builders if n.endswith("/bool")]
-        int_names = [n for n in builders if n.endswith("/int")]
-        for t in tree_probes(e, rng, probes, alphabet, max_depth):
-            tree_text = render(t)
-            bool_weights = {n: bool(builders[n](t)) for n in bool_names}
-            _compare(report, i, text, tree_text, bool_weights)
-            int_weights = {n: builders[n](t) for n in int_names}
-            _compare(report, i, text, tree_text, int_weights)
-            member = {
-                "bool": bool_weights[bool_names[0]],
-                "int-nonzero": int_weights[int_names[0]] != 0,
-            }
-            _compare(report, i, text, tree_text, member)
+        _compare_probes(
+            report, i, text, builders, tree_probes(e, rng, probes, alphabet, max_depth), render
+        )
     return report

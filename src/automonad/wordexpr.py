@@ -268,24 +268,27 @@ class _Parser(Scanner):
     """
 
     def expr(self):
+        start = self.depth
         e = self.sum()
-        while self.peek() == "&":
-            self.eat("&")
+        while self.chained("&"):
             e = inter(e, self.sum())
+        self.depth = start
         return e
 
     def sum(self):
+        start = self.depth
         e = self.term()
-        while self.peek() == "+":
-            self.eat("+")
+        while self.chained("+"):
             e = plus(e, self.term())
+        self.depth = start
         return e
 
     def term(self):
+        start = self.depth
         e = self.factor()
-        while self.peek() == ".":
-            self.eat(".")
+        while self.chained("."):
             e = concat(e, self.factor())
+        self.depth = start
         return e
 
     def factor(self):
@@ -999,7 +1002,7 @@ def random_expression(
     def gen(n, nn):
         # nn: the subexpression must have empty-word weight zero (so that an
         # enclosing star stays starrable over the integers)
-        if n == 0:
+        if n <= 0:
             return atom(nn)
         options = [o for o in palette if not (nn and o == "star")]
         name = r.choice(options or ["concat"])

@@ -157,6 +157,11 @@ EXITS = {
     ("build", "word", "--random", "0", "12", "--method", "derivation", "--weights", "genexpr", "--caps", "2000"): 0,
     ("weight", "word", DEEP_STAR, "a"): EXIT_PARSE,
     ("weight", "word", "a" + "*" * 1200, "a"): EXIT_PARSE,
+    ("weight", "word", ".".join("a" * 500), "a"): EXIT_PARSE,
+    ("weight", "word", "+".join("a" * 1000), "a"): EXIT_PARSE,
+    ("weight", "tree", " + ".join(["@f(())"] * 1000), "f(a)"): EXIT_PARSE,
+    ("random", "word", "--size", "-1"): 0,
+    ("build", "word", "--random", "0", "-3"): 0,
 }
 HOSTILE += [list(argv) for argv in EXITS]
 EXPRESSIONS = {"word": ("[2]:a*.b", "ab"), "tree": ("@a .() (@f(()))*()", "f(a)")}
@@ -181,6 +186,17 @@ def test_no_traceback(argv, capsys):
     code = main(argv)
     assert isinstance(code, int) and code in {0, 2, 3, 4, 5}
     assert code == EXITS.get(tuple(argv), code)
+
+
+# the deepest group, then the longest chain, that the parsers accept
+DEEPEST_ACCEPTED = "(" * 99 + "a" + ")" * 99 + ".a" * 99
+WORD_PAIRS = [(m, w) for (k, m), (_b, accepted) in CONSTRUCTIONS.items() if k == "word" for w in accepted]
+
+
+@pytest.mark.parametrize("method, weights", WORD_PAIRS)
+def test_deepest_accepted_expression_weighs(method, weights, capsys):
+    argv = ["weight", "word", DEEPEST_ACCEPTED, "a" * 100, "--method", method, "--weights", weights]
+    assert main(argv) == 0
 
 
 class TestRandom:

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from automonad.algebra import BOOLEANS, INTEGERS, Node, RankedSymbol, enumerate_trees
 from automonad.containers import FINITE_SET, lin_comb
@@ -43,6 +44,7 @@ from automonad.enriched import (
 )
 from automonad import wordexpr as wx
 from automonad.util import Inl, Inr, UNIT, render
+from automonad.validate import CONSTRUCTIONS, construct
 from automonad.wordexpr import PosSym
 
 INT_LIN = lin_comb(INTEGERS)
@@ -110,12 +112,12 @@ class TestStructuralOps:
     def test_aci_dedupe(self):
         a, b = watom("a"), watom("b")
         e = ESum(a, ESum(a, b))
-        assert aci_normalize(e) == aci_normalize(ESum(a, b))
+        assert aci_normalize(e, BOOLEANS) == aci_normalize(ESum(a, b), BOOLEANS)
 
     def test_aci_non_idempotent_keeps_duplicates(self):
         a = watom("a")
         e = ESum(a, a)
-        kept = aci_normalize(e, idempotent=False)
+        kept = aci_normalize(e, INTEGERS)
         assert kept == ESum(a, a)
 
     def test_decomposition_counts(self):
@@ -129,8 +131,11 @@ class TestStructuralOps:
 
     def test_sub_var_simplification(self):
         e = ESub("v", watom("a"), EVar("v"))
-        assert aci_normalize(e, simplify_sub_var=True) == watom("a")
-        assert aci_normalize(e, simplify_sub_var=False) == e
+        assert aci_normalize(e, BOOLEANS) == watom("a")
+        # kept when v occurs in the substituted expression, as in every
+        # word expression (a word atom holds the unit variable)
+        kept = ESub(UNIT, watom("a"), EVar(UNIT))
+        assert aci_normalize(kept, BOOLEANS) == kept
 
     def test_occurs(self):
         assert WordAtom("a").vars == (UNIT,)  # the unary tree atom
@@ -234,6 +239,28 @@ class TestWordAutomata:
                 word_inductive_automaton(e, INT_LIN),
             ]:
                 assert auto.weight(()) == expected
+
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(0, 5))
+    def test_enriched_constructions_match_the_oracle(self, seed, n):
+        # the reversed position and derivation automata and the inductive
+        # one are the tree constructions read along unary trees
+        we = wx.random_expression(seed, n, "ab", wx.SIMPLE_OPS)
+        e = from_word_expression(we)
+        words = [w for k in range(5) for w in itertools.product("ab", repeat=k)]
+        for weights, semiring in (("int", INTEGERS), ("bool", BOOLEANS)):
+            oracle = wx.brute_force_language(we, 4, semiring)
+            for (kind, method), (_builder, accepted) in CONSTRUCTIONS.items():
+                if kind != "enriched" or weights not in accepted:
+                    continue
+                auto = construct(kind, method, weights, e)
+                for w in words:
+                    expected = oracle.get(w, semiring.zero)
+                    got = auto.weight(w)
+                    assert (got if weights == "int" else bool(got)) == expected, (
+                        method, weights, wx.expr_to_text(we), w
+                    )
 
 
 class TestDerive:
@@ -355,8 +382,8 @@ class TestTreeAutomata:
         for seed in range(8):
             e = random_tree_expression(seed, 3)
             dup = ESum(e, e)
-            normalized = aci_normalize(dup, idempotent=False)
-            assert aci_normalize(normalized, idempotent=False) == normalized
+            normalized = aci_normalize(dup, INTEGERS)
+            assert aci_normalize(normalized, INTEGERS) == normalized
             a1 = tree_derivation_automaton(dup, INT_LIN)
             a2 = tree_derivation_automaton(normalized, INT_LIN)
             for t in trees:

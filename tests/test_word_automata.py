@@ -651,14 +651,6 @@ class TestExploration:
         assert small.truncated and len(small.states) == 3
         assert not explore(auto, "a", max_states=10).truncated
 
-    def test_max_depth_truncates(self):
-        det = determinize(exponential_family(4))
-        shallow = explore(det, "AB", max_depth=1)
-        assert shallow.truncated
-        deep = explore(det, "AB", max_depth=64)
-        assert not deep.truncated
-        assert set(shallow.states) <= set(deep.states)
-
     def test_dot_deterministic_across_runs(self):
         det = determinize(exponential_family(3))
         d1 = to_dot(explore(det, "AB"))

@@ -85,7 +85,8 @@ class TestParser:
         nested = "a"
         for _ in range(100):
             nested = f"({nested})*"
-        for text in (nested, "(" * 100 + "a" + ")" * 100, "a" + "*" * 100):
+        chain = "+".join("a" * 100)
+        for text in (nested, "(" * 100 + "a" + ")" * 100, "a" + "*" * 100, chain):
             auto = derivation_automaton(parse_expression(text), FINITE_SET)
             assert auto.recognizes("a")
 
