@@ -60,6 +60,53 @@ class WordAutomaton:
     def recognizes(self, word) -> bool:
         return bool(self.weight(word))
 
+    def tabulated(self) -> WordAutomaton:
+        """The same automaton over integer state ids.  Each transition row
+        `(symbol, id)` and each final weight is computed the first time it
+        is used and looked up afterwards; weights are unchanged."""
+        ids = _StateIds(self.container)
+        states = ids.states
+        return WordAutomaton(
+            self.container,
+            ids.value(self.initial),
+            _memo(lambda sym, i: ids.value(self.delta(sym, states[i]))),
+            _memo(lambda i: self.final(states[i])),
+        )
+
+
+def _memo(fn: Callable) -> Callable:
+    """`fn`, computed once per argument tuple and looked up afterwards."""
+    cache: dict = {}
+
+    def memo(*args):
+        if args not in cache:
+            cache[args] = fn(*args)
+        return cache[args]
+
+    return memo
+
+
+class _StateIds:
+    """Integer ids for the states of one automaton, in order of first sight;
+    `states[i]` is the state of id `i`.  Looking an id up hashes an int, where
+    looking a state up may hash a deep expression."""
+
+    def __init__(self, container: EffectContainer):
+        self.container = container
+        self.states: list = []
+        self._ids: dict = {}
+
+    def of(self, state) -> int:
+        i = self._ids.get(state)
+        if i is None:
+            i = self._ids[state] = len(self.states)
+            self.states.append(state)
+        return i
+
+    def value(self, c):
+        """The container value `c` with each state replaced by its id."""
+        return self.container.map(self.of, c)
+
 
 def delta_from_table(table: dict, container: EffectContainer) -> Callable:
     """Transition function from a `{(state, symbol): value}` dict; missing
@@ -81,17 +128,13 @@ def complete_dfa(initial, delta: Callable, final: Callable) -> WordAutomaton:
 
 def memoize_automaton(auto: WordAutomaton, counter: dict | None = None) -> WordAutomaton:
     """Cache (state, symbol) transitions; `counter` counts real computations."""
-    cache: dict = {}
 
     def delta(sym, state):
-        key = (state, sym)
-        if key not in cache:
-            cache[key] = auto.delta(sym, state)
-            if counter is not None:
-                counter[key] = counter.get(key, 0) + 1
-        return cache[key]
+        if counter is not None:
+            counter[(state, sym)] = counter.get((state, sym), 0) + 1
+        return auto.delta(sym, state)
 
-    return replace(auto, delta=delta)
+    return replace(auto, delta=_memo(delta))
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,8 @@ def cmd_weight(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.instances < 0 or args.probes < 0:
+        raise ExprSyntaxError("--instances and --probes must not be negative", 0)
     if args.kind == "word":
         report = validate_words(
             instances=args.instances,

@@ -19,11 +19,13 @@ from .containers import DETERMINISTIC, EffectContainer, FiniteSetContainer, lin_
 from .algebra import INTEGERS
 from .automata import (
     DEFAULT_MAX_STATES,
+    _StateIds,
     _accepting_node,
     _breadth_first,
     _dot_graph,
     _dot_starts,
     _dot_states,
+    _memo,
 )
 from .util import UNIT, UnsupportedOperation, render
 
@@ -80,6 +82,21 @@ class BottomUpContainerTA:
     def recognizes(self, t: RankedTree, variables: tuple = ()) -> bool:
         return bool(self.weight(t, variables))
 
+    def tabulated(self) -> BottomUpContainerTA:
+        """The same automaton over integer state ids.  Each row
+        `(symbol, id tuple)`, each variable's initial configuration and each
+        final weight is computed the first time it is used and looked up
+        afterwards; weights are unchanged."""
+        ids = _StateIds(self.container)
+        states = ids.states
+        init = None if self.init is None else _memo(lambda var: ids.value(self.init(var)))
+        return BottomUpContainerTA(
+            self.container,
+            init,
+            _memo(lambda symbol, key: ids.value(self.delta(symbol, tuple(states[i] for i in key)))),
+            _memo(lambda i: self.final(states[i])),
+        )
+
 
 class BottomUpDetTA(BottomUpContainerTA):
     """Complete deterministic bottom-up automaton: the identity-container
@@ -119,21 +136,17 @@ def bu_determinize(auto: BottomUpContainerTA) -> BottomUpDetTA:
         raise UnsupportedOperation("bu_determinize needs the finite-set container")
     if auto.init is not None:
         raise UnsupportedOperation("determinization is restricted to variable-free automata")
-    cache: dict = {}
 
     def delta(symbol, subsets):
-        key = (symbol, subsets)
-        if key not in cache:
-            out = set()
-            for states in itertools.product(*subsets):
-                out.update(auto.delta(symbol, states))
-            cache[key] = frozenset(out)
-        return cache[key]
+        out = set()
+        for states in itertools.product(*subsets):
+            out.update(auto.delta(symbol, states))
+        return frozenset(out)
 
     def final(subset):
         return any(bool(auto.final(s)) for s in subset)
 
-    return BottomUpDetTA(None, delta, final)
+    return BottomUpDetTA(None, _memo(delta), final)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +207,24 @@ class TopDownContainerTA:
 
     def recognizes(self, t: RankedTree, variables: tuple = ()) -> bool:
         return bool(self.weight(t, variables))
+
+    def tabulated(self) -> TopDownContainerTA:
+        """The same automaton over integer state ids.  Each row `(symbol, id)`
+        and each state's variable weight is computed the first time it is
+        used and looked up afterwards; weights are unchanged."""
+        ids = _StateIds(self.container)
+        states = ids.states
+
+        def delta(symbol, i):
+            vectors = self.delta(symbol, states[i])
+            return self.container.map(lambda vect: tuple(map(ids.of, vect)), vectors)
+
+        return TopDownContainerTA(
+            self.container,
+            ids.value(self.initial),
+            _memo(delta),
+            _memo(lambda i: self.var_weight(states[i])),
+        )
 
 
 def occurrence_automaton(subject: RankedTree) -> TopDownContainerTA:

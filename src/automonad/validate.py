@@ -191,7 +191,9 @@ def word_probes(e, rng: random.Random, count: int, alphabet, max_len: int = 10):
 
 def _constructions(kind, e, mutate: dict | None) -> dict:
     """Every registered construction of `kind` under boolean and integer
-    weights, as "method/weights" -> weight function."""
+    weights, as "method/weights" -> weight function.  Each weighs through
+    the automaton's `tabulated()` transition table, so a (symbol, state)
+    transition is computed once per instance however many probes reach it."""
     builders: dict = {}
     for weights in BOOL_INT:
         for (k, method), (_builder, accepted) in CONSTRUCTIONS.items():
@@ -201,7 +203,7 @@ def _constructions(kind, e, mutate: dict | None) -> dict:
             if auto is None:
                 continue
             name = f"{method}/{weights}"
-            fn = auto.weight
+            fn = auto.tabulated().weight
             if mutate and name in mutate:
                 fn = mutate[name](fn)
             builders[name] = fn

@@ -162,6 +162,8 @@ EXITS = {
     ("weight", "tree", " + ".join(["@f(())"] * 1000), "f(a)"): EXIT_PARSE,
     ("random", "word", "--size", "-1"): 0,
     ("build", "word", "--random", "0", "-3"): 0,
+    ("validate", "word", "--instances", "-3"): EXIT_PARSE,
+    ("validate", "word", "--probes", "-5"): EXIT_PARSE,
 }
 HOSTILE += [list(argv) for argv in EXITS]
 EXPRESSIONS = {"word": ("[2]:a*.b", "ab"), "tree": ("@a .() (@f(()))*()", "f(a)")}

@@ -126,6 +126,14 @@ class TestModularRwta:
         assert isinstance(auto, BottomUpContainerTA) and auto.container is DETERMINISTIC
         assert auto.state_of(T_OK) == auto.config(T_OK) == 2
 
+    def test_tabulated_is_a_container_automaton_with_equal_weights(self):
+        auto = rwta()
+        table = auto.tabulated()
+        assert type(table) is BottomUpContainerTA and table.container is DETERMINISTIC
+        cases = [(T_OK, ()), (T_KO, ()), (T_VAR, ("X1", "X2")), (T_VAR, ("X1", "X3")), (HOLE, ("X2",))]
+        for t, variables in cases:
+            assert table.weight(t, variables) == auto.weight(t, variables)
+
 
 def figure_nta():
     """The nondeterministic bottom-up automaton with states {1, 2}."""

@@ -589,6 +589,37 @@ class TestSequential:
         assert "".join(sub) == "auoae"
 
 
+class TestTabulated:
+    """`tabulated()` keeps the weights of automata over every container."""
+
+    def _automata(self):
+        return {
+            "deterministic": bool_combination(
+                lambda x, y: x != y, [mod_dfa(2), mod_dfa(3)]
+            ),
+            "optional": nfa_to_partial_dfa(exponential_family(3)),
+            "finite_set": exponential_family(3),
+            "lin_comb": weighted_figure_automaton(),
+            "bool_expr": all_letters_afa("AB"),
+            "gen_expr": TestGeneralizedAlternating()._quadratic_mean_automaton("AB"),
+            "monoid_pair": sequential_pair_automaton(lambda ch: ch == "A"),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["deterministic", "optional", "finite_set", "lin_comb", "bool_expr", "gen_expr", "monoid_pair"],
+    )
+    def test_weights_equal_raw_weights(self, name):
+        auto = self._automata()[name]
+        table = auto.tabulated()
+        rng = random.Random(3)
+        for _ in range(60):
+            w = "".join(rng.choice("AB") for _ in range(rng.randint(0, 7)))
+            if name == "gen_expr" and not w:
+                continue  # the quadratic mean of no counts divides by zero
+            assert table.weight(w) == auto.weight(w), w
+
+
 class TestExploration:
     def test_empty_automaton_dot(self):
         auto = WordAutomaton(
