@@ -39,7 +39,8 @@ class WordAutomaton:
 
     `initial` is a container value over states, `delta(symbol, state)` yields
     a container value, `final(state)` a weight of the container's semiring
-    (or monoid, for sequential automata).
+    (or monoid, for sequential automata).  States must be hashable: they key
+    the transition table that `weight` reads through.
     """
 
     container: EffectContainer
@@ -55,7 +56,11 @@ class WordAutomaton:
         return c
 
     def weight(self, word):
-        return self.container.finality_step(self.config(word), self.final)
+        """The bind-fold of `word` through a fresh `tabulated()` table, so
+        each (symbol, state) row is computed once per call; the table is
+        dropped when the call returns."""
+        table = self.tabulated()
+        return table.container.finality_step(table.config(word), table.final)
 
     def recognizes(self, word) -> bool:
         return bool(self.weight(word))
@@ -66,12 +71,20 @@ class WordAutomaton:
         is used and looked up afterwards; weights are unchanged."""
         ids = _StateIds(self.container)
         states = ids.states
-        return WordAutomaton(
+        return _Table(
             self.container,
             ids.value(self.initial),
             _memo(lambda sym, i: ids.value(self.delta(sym, states[i]))),
             _memo(lambda i: self.final(states[i])),
         )
+
+
+class _Table(WordAutomaton):
+    """A tabulated automaton: its states are already ids, so it is its own
+    table and weighs by the plain bind-fold."""
+
+    def tabulated(self) -> WordAutomaton:
+        return self
 
 
 def _memo(fn: Callable) -> Callable:

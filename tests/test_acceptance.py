@@ -285,15 +285,15 @@ def test_criterion_9_oracle_gate():
     for seed in range(500):
         e = wx.random_expression(seed, 5, "ab", wx.SIMPLE_OPS)
         oracle = wx.brute_force_language(e, 6, BOOLEANS)
-        autos = [
-            wx.position_automaton(e, FINITE_SET),
-            wx.derivation_automaton(e, FINITE_SET),
-            wx.inductive_automaton(e, FINITE_SET),
+        tables = [
+            wx.position_automaton(e, FINITE_SET).tabulated(),
+            wx.derivation_automaton(e, FINITE_SET).tabulated(),
+            wx.inductive_automaton(e, FINITE_SET).tabulated(),
         ]
         for w in words:
             expected = oracle.get(w, False)
-            for auto in autos:
-                assert auto.recognizes(w) == expected, (wx.expr_to_text(e), w)
+            for table in tables:
+                assert table.recognizes(w) == expected, (wx.expr_to_text(e), w)
     elapsed = time.perf_counter() - start
     report(9, "500 expressions exhaustively match the brute-force oracle", elapsed)
 

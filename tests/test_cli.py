@@ -106,6 +106,13 @@ class TestWeight:
         assert main(argv) == EXIT_WEIGHT
         assert capsys.readouterr().err.startswith("undefined weight: ")
 
+    @pytest.mark.parametrize("method", ["positions", "derivation", "inductive"])
+    @pytest.mark.parametrize("weights, expected", [("int", "2000"), ("bool", "true")])
+    def test_long_word(self, method, weights, expected, capsys):
+        argv = ["weight", "word", "(a+b)*.a.b.(a+b)*", "ab" * 2000, "--method", method]
+        assert main(argv + ["--weights", weights]) == 0
+        assert capsys.readouterr().out.strip() == expected
+
 
 BAD_ALPHABETS = [
     ["validate", "word", "--alphabet", ""],

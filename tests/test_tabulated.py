@@ -1,7 +1,8 @@
 """`tabulated()`: the same automaton over integer state ids, whose transition
-rows are computed once.  Its weights must equal the automaton's own on the
-probes the harnesses draw, and each (symbol, state) row, variable
-initialization and final weight must be computed exactly once."""
+rows are computed once.  Its weights must equal the untabulated weights on
+the probes the harnesses draw, and each (symbol, state) row, variable
+initialization and final weight must be computed exactly once.  A word
+automaton's own `weight` reads through such a table, one per call."""
 
 import random
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from automonad import enriched as en
 from automonad import wordexpr as wx
 from automonad.algebra import HOLE, Node
+from automonad.automata import WordAutomaton
 from automonad.util import UNIT
 from automonad.validate import INT_LIN, CONSTRUCTIONS, construct, tree_probes, word_probes
 
@@ -22,6 +24,15 @@ REGISTERED = [
     if kind in ("word", "enriched", "tree")
     for weights in accepted
 ]
+
+
+def untabulated_weight(auto, *probe):
+    """The weight of `probe` without a table: the plain bind-fold of a word
+    automaton (whose own `weight` reads through one), the own weight of a
+    tree automaton."""
+    if isinstance(auto, WordAutomaton):
+        return auto.container.finality_step(auto.config(*probe), auto.final)
+    return auto.weight(*probe)
 
 
 def with_hole(t):
@@ -63,7 +74,7 @@ def test_tabulated_weights_equal_raw_weights(kind, method, weights):
             continue
         table = auto.tabulated()
         for probe in probes:
-            assert table.weight(*probe) == auto.weight(*probe), (seed, probe)
+            assert table.weight(*probe) == untabulated_weight(auto, *probe), (seed, probe)
 
 
 def counted(fn, calls: dict):
@@ -85,7 +96,7 @@ def assert_each_key_computed_once(auto, probes, fields):
     raw_auto = replace(auto, **{n: counted(getattr(auto, n), raw[n]) for n in fields})
     table = replace(auto, **{n: counted(getattr(auto, n), tab[n]) for n in fields}).tabulated()
     for probe in probes:
-        assert table.weight(*probe) == raw_auto.weight(*probe)
+        assert table.weight(*probe) == untabulated_weight(raw_auto, *probe)
     for name in fields:
         assert tab[name] and set(tab[name]) == set(raw[name]), name
         assert all(n == 1 for n in tab[name].values()), name
@@ -110,3 +121,23 @@ def test_bottom_up_rows_and_init_computed_once():
     auto = en.tree_inductive_automaton(en.ESum(en.EVar(UNIT), e), INT_LIN)
     assert auto.init is not None
     assert_each_key_computed_once(auto, probes[:50], ["init", "delta", "final"])
+
+
+def test_word_weight_computes_each_row_once_per_call():
+    rng = random.Random(5)
+    word = "".join(rng.choice("ab") for _ in range(2000))
+    auto = wx.derivation_automaton(wx.parse_expression("(a+b)*.a.b.(a+b)*"), INT_LIN)
+    raw, tab = {}, {}
+    assert untabulated_weight(replace(auto, delta=counted(auto.delta, raw)), word) == word.count("ab")
+    counted_auto = replace(auto, delta=counted(auto.delta, tab))
+    assert counted_auto.weight(word) == word.count("ab")
+    assert set(tab) == set(raw) and len(tab) < 10
+    assert all(n == 1 for n in tab.values())
+    counted_auto.weight(word)  # the table of the first call was dropped
+    assert all(n == 2 for n in tab.values())
+
+
+def test_a_table_is_its_own_table():
+    e, _words = word_instance(0)
+    table = wx.derivation_automaton(e, INT_LIN).tabulated()
+    assert table.tabulated() is table
