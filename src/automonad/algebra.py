@@ -25,12 +25,6 @@ class StarSemiring:
     times: Callable[[Any, Any], Any]
     star: Callable[[Any], Any]
 
-    def sum(self, items):
-        acc = self.zero
-        for x in items:
-            acc = self.plus(acc, x)
-        return acc
-
     def product(self, items):
         acc = self.one
         for x in items:
@@ -76,12 +70,6 @@ class MonoidValue:
     name: str
     neutral: Any
     combine: Callable[[Any, Any], Any]
-
-    def combine_all(self, items):
-        acc = self.neutral
-        for x in items:
-            acc = self.combine(acc, x)
-        return acc
 
 
 INT_SUM = MonoidValue("int-sum", 0, lambda a, b: a + b)

@@ -221,9 +221,7 @@ def explore(
     def successors(state):
         for sym in alphabet:
             value = auto.delta(sym, state)
-            transitions.append(
-                TransitionRecord(state, sym, value, container.render_value(value))
-            )
+            transitions.append(TransitionRecord(state, sym, value, render(value)))
             yield from container.support(value)
 
     reached, truncated = _breadth_first(container.support(auto.initial), successors, max_states)
@@ -436,14 +434,17 @@ def intersection(a: WordAutomaton, b: WordAutomaton) -> WordAutomaton:
     cont = _same_container(a, b, "intersection")
     times = cont.weights.times
 
+    def pairs(c1, c2):
+        return cont.bind(c1, lambda x: cont.map(lambda y: (x, y), c2))
+
     def delta(sym, pq):
         p, q = pq
-        return cont.tensor_pair(a.delta(sym, p), b.delta(sym, q))
+        return pairs(a.delta(sym, p), b.delta(sym, q))
 
     def final(pq):
         return times(a.final(pq[0]), b.final(pq[1]))
 
-    return WordAutomaton(cont, cont.tensor_pair(a.initial, b.initial), delta, final)
+    return WordAutomaton(cont, pairs(a.initial, b.initial), delta, final)
 
 
 hadamard = intersection
@@ -669,7 +670,9 @@ def make_pda(
     """
     z0 = initial_stack_symbol
     bottom = _Stack(z0, None)
-    initial = inner.combine_all(inner.unit((q, bottom)) for q in initials)
+    initial = inner.neutral
+    for q in initials:
+        initial = inner.combine(initial, inner.unit((q, bottom)))
 
     def delta(sym, config):
         state, stack = config

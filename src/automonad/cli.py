@@ -83,6 +83,8 @@ def _explored(auto, alphabet, caps: int):
 
 
 def cmd_build(args) -> int:
+    if args.caps < 0:
+        raise ExprSyntaxError("--caps must not be negative", 0)
     e = _expression(args)
     result, dot = _explored(_construct(args.kind, args, e), args.alphabet, args.caps)
     text = wx.expr_to_text(e) if args.kind == "word" else en.expression_to_text(e)
@@ -97,7 +99,10 @@ def cmd_build(args) -> int:
 def cmd_weight(args) -> int:
     if args.kind == "tree" and ("pattern", args.method) in CONSTRUCTIONS:
         # the expression argument is the subject tree the pattern is sought in
-        auto = _construct("pattern", args, parse_tree(args.expression, args.alphabet))
+        subject = parse_tree(args.expression, args.alphabet)
+        if subject.arity():
+            raise ExprSyntaxError("the subject tree must have no holes", 0)
+        auto = _construct("pattern", args, subject)
     else:
         auto = _construct(args.kind, args, _expression(args))
     if args.kind == "word":

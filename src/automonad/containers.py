@@ -43,12 +43,6 @@ class EffectContainer:
     def combine(self, a, b):
         raise UnsupportedOperation(f"{self!r} has no combine")
 
-    def combine_all(self, items):
-        acc = self.neutral
-        for c in items:
-            acc = self.combine(acc, c)
-        return acc
-
     def act_left(self, w, c):
         raise UnsupportedOperation(f"{self!r} has no scalar action")
 
@@ -57,10 +51,6 @@ class EffectContainer:
 
     def weight_cast(self, c):
         """Collapse a container over the unit element to a bare weight."""
-        raise NotImplementedError
-
-    def from_weight(self, w):
-        """Inverse of `weight_cast` (up to canonical form)."""
         raise NotImplementedError
 
     def finality_step(self, c, final: Callable[[Any], Any]):
@@ -77,19 +67,12 @@ class EffectContainer:
         """(element, weight) pairs of a configuration, in canonical order."""
         raise UnsupportedOperation(f"{self!r} is not element-weighted")
 
-    def tensor_pair(self, c1, c2):
-        """All pairs of elements, weights multiplied (used by products)."""
-        return self.bind(c1, lambda x: self.map(lambda y: (x, y), c2))
-
     def sequence(self, cs: Iterable):
         """Turn a sequence of containers into a container of tuples."""
         out = self.unit(())
         for c in cs:
             out = self.bind(out, lambda acc, c=c: self.map(lambda x: acc + (x,), c))
         return out
-
-    def render_value(self, c) -> str:
-        return render(c)
 
     def values_equal(self, a, b) -> bool:
         return a == b
@@ -149,17 +132,11 @@ class OptionalContainer(EffectContainer):
     def weight_cast(self, c):
         return c is not None
 
-    def from_weight(self, w):
-        return UNIT if w else None
-
     def support(self, c):
         return [] if c is None else [c]
 
     def weighted_elements(self, c):
         return [] if c is None else [(c, True)]
-
-    def render_value(self, c):
-        return "#" if c is None else render(c)
 
     def __repr__(self):
         return "OptionalContainer()"
@@ -202,9 +179,6 @@ class FiniteSetContainer(EffectContainer):
 
     def weight_cast(self, c):
         return bool(c)
-
-    def from_weight(self, w):
-        return frozenset((UNIT,)) if w else frozenset()
 
     def finality_step(self, c, final):
         return any(bool(final(s)) for s in c)
@@ -320,9 +294,6 @@ class LinCombContainer(EffectContainer):
 
     def weight_cast(self, c):
         return c.get(UNIT, self.weights.zero)
-
-    def from_weight(self, w):
-        return self._make({UNIT: w})
 
     def finality_step(self, c, final):
         plus, times, zero = self.weights.plus, self.weights.times, self.weights.zero
@@ -560,9 +531,6 @@ class BoolExprContainer(EffectContainer):
         # Variables over the unit element count as satisfied.
         return eval_bool_expr(c, env=lambda _v: True)
 
-    def from_weight(self, w):
-        return BConst(bool(w))
-
     def finality_step(self, c, final):
         return eval_bool_expr(c, env=lambda s: bool(final(s)))
 
@@ -727,9 +695,6 @@ class GenExprContainer(EffectContainer):
     def weight_cast(self, c):
         return eval_gen_expr(c, env=lambda _v: self.weights.one)
 
-    def from_weight(self, w):
-        return GConst(w)
-
     def finality_step(self, c, final):
         return eval_gen_expr(c, env=final)
 
@@ -805,9 +770,6 @@ class MonoidPairContainer(EffectContainer):
 
     def weight_cast(self, c):
         return c.output
-
-    def from_weight(self, w):
-        return Pair(UNIT, w)
 
     def finality_step(self, c, final):
         return self.monoid.combine(c.output, final(c.value))
@@ -908,9 +870,6 @@ class DeterministicContainer(EffectContainer):
 
     def weight_cast(self, c):
         return c
-
-    def from_weight(self, w):
-        return w
 
     def finality_step(self, c, final):
         return final(c)

@@ -172,19 +172,15 @@ class TopDownContainerTA:
             raise ValueError(f"tree of arity {t.arity()} needs {t.arity()} variables")
         memo: dict = {}
 
-        def var_pay(state, var):
-            total = w.zero
-            for u, k in cont.weighted_elements(self.var_weight(state)):
-                if u == var:
-                    total = w.plus(total, k)
-            return total
-
         def go(state, tree, vs):
             key = (state, tree, vs)
             if key in memo:
                 return memo[key]
             if tree is HOLE:
-                out = var_pay(state, vs[0])
+                var = vs[0]
+                out = cont.finality_step(
+                    self.var_weight(state), lambda u: w.one if u == var else w.zero
+                )
             else:
                 assert isinstance(tree, Node)
                 groups = _split_by_arity(vs, tree.children)
@@ -364,6 +360,7 @@ class TreeExploration:
     # (source tuple, symbol, target states, rendered target, container value)
     transitions: list
     truncated: bool
+    # state -> final weight (bottom-up) or variable-weight value (top-down)
     finals: dict = field(default_factory=dict)
 
     def dump(self) -> str:
@@ -389,7 +386,7 @@ def tree_explore(
     def fire(symbol, combo):
         value = auto.delta(symbol, combo)
         targets = cont.support(value)
-        transitions.append((combo, symbol, targets, cont.render_value(value), value))
+        transitions.append((combo, symbol, targets, render(value), value))
         return targets
 
     def successors(state):
@@ -426,12 +423,12 @@ def td_explore(
         for symbol in alphabet:
             value = auto.delta(symbol, state)
             targets = [t for vect in cont.support(value) for t in vect]
-            transitions.append(((state,), symbol, targets, cont.render_value(value), value))
+            transitions.append(((state,), symbol, targets, render(value), value))
             yield from targets
 
     reached, truncated = _breadth_first(cont.support(auto.initial), successors, max_states)
     states = sorted(reached, key=render)
-    finals = {s: cont.render_value(auto.var_weight(s)) for s in states}
+    finals = {s: auto.var_weight(s) for s in states}
     return TreeExploration(states, transitions, truncated, finals)
 
 
@@ -440,7 +437,13 @@ def td_to_dot(auto: TopDownContainerTA, result: TreeExploration, name: str = "tr
     child states of each transition.  Edges into states beyond a truncated
     exploration are left out."""
     cont = auto.container
-    ids, lines = _dot_states(result.states, result.finals, _var_weight_node)
+    neutral = cont.neutral
+
+    def var_weight_node(var_w):
+        # default shape; the variable weight unless it is the empty one
+        return None, "" if var_w == neutral else render(var_w)
+
+    ids, lines = _dot_states(result.states, result.finals, var_weight_node)
     lines += _dot_starts(ids, cont.weighted_elements(auto.initial))
     fan = 0
     edges = []
@@ -465,11 +468,6 @@ def td_to_dot(auto: TopDownContainerTA, result: TreeExploration, name: str = "tr
                     if child in ids:
                         edges.append(f'  {node} -> {ids[child]} [label="{i + 1}"];')
     return _dot_graph(name, "TB", lines + edges)
-
-
-def _var_weight_node(var_w):
-    """Default shape; the rendered variable weight unless it is empty."""
-    return None, "" if var_w in (None, "", "{}", "0", "#") else var_w
 
 
 def tree_to_dot(result: TreeExploration, name: str = "treeautomaton") -> str:

@@ -26,10 +26,19 @@ from .automata import (
     union,
 )
 from .containers import (
+    BAnd,
+    BConst,
+    BNot,
+    BOr,
+    BVar,
+    BoolExprContainer,
     EffectContainer,
     FiniteSetContainer,
+    GConst,
+    GFun,
+    GVar,
+    GenExprContainer,
     LinCombContainer,
-    OptionalContainer,
 )
 from .util import Scanner, UnsupportedOperation, render
 
@@ -627,32 +636,9 @@ def _concat_right(container, c, e2):
 def collapse_to_expression(container: EffectContainer, c) -> WordExpression:
     """Contract a container of expressions to a single expression.
 
-    Sets become canonical sums, linear combinations scalar-weighted sums,
-    absence the empty expression."""
-    if isinstance(container, OptionalContainer):
-        return EMPTY if c is None else c
-    if isinstance(container, FiniteSetContainer):
-        terms = sorted(c, key=render)
-        return _sum_of(terms)
-    if isinstance(container, LinCombContainer):
-        one = container.weights.one
-        terms = [
-            (x if k == one else mult_l(k, x)) for x, k in c.sorted_items()
-        ]
-        return _sum_of(terms)
-    from .containers import (
-        BAnd,
-        BConst,
-        BNot,
-        BOr,
-        BVar,
-        BoolExprContainer,
-        GConst,
-        GFun,
-        GVar,
-        GenExprContainer,
-    )
-
+    Boolean and function expression trees are read back node by node; any
+    other container is the sum of its weighted elements, each scaled by its
+    weight unless that is one (so absence is the empty expression)."""
     if isinstance(container, BoolExprContainer):
         def go(node):
             if isinstance(node, BVar):
@@ -699,7 +685,8 @@ def collapse_to_expression(container: EffectContainer, c) -> WordExpression:
             raise TypeError(node)
 
         return gog(c)
-    raise UnsupportedOperation(f"cannot collapse {container!r} to an expression")
+    one = container.weights.one
+    return _sum_of([x if k == one else mult_l(k, x) for x, k in container.weighted_elements(c)])
 
 
 def _fix_arguments(fn, fixed):

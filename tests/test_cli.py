@@ -7,6 +7,7 @@ import pytest
 from automonad import wordexpr as wx
 from automonad.algebra import INTEGERS
 from automonad.cli import (
+    EXIT_CAPS,
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
     EXIT_WEIGHT,
@@ -171,6 +172,10 @@ EXITS = {
     ("build", "word", "--random", "0", "-3"): 0,
     ("validate", "word", "--instances", "-3"): EXIT_PARSE,
     ("validate", "word", "--probes", "-5"): EXIT_PARSE,
+    ("build", "word", "--caps", "-1", "a"): EXIT_PARSE,
+    ("build", "word", "--caps", "0", "a"): EXIT_CAPS,
+    ("weight", "tree", "--method", "occurrence", "_", "a"): EXIT_PARSE,
+    ("weight", "tree", "--method", "occurrence", "g(_,a)", "a"): EXIT_PARSE,
 }
 HOSTILE += [list(argv) for argv in EXITS]
 EXPRESSIONS = {"word": ("[2]:a*.b", "ab"), "tree": ("@a .() (@f(()))*()", "f(a)")}

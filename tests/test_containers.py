@@ -224,12 +224,6 @@ class TestWeightCast:
         G = gen_expr(INTEGERS)
         assert G.weight_cast(GFun("+", (GConst(2), GConst(3)), INTEGERS.plus)) == 5
 
-    def test_round_trips(self):
-        for w in (True, False):
-            assert FINITE_SET.weight_cast(FINITE_SET.from_weight(w)) == w
-        for w in (0, 5, -2):
-            assert INT_LIN.weight_cast(INT_LIN.from_weight(w)) == w
-
 
 class TestConvert:
     def test_set_to_lincomb(self):

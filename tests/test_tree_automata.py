@@ -8,13 +8,14 @@ import pytest
 from automonad.algebra import (
     HOLE,
     INT_PRODUCT,
+    INTEGERS,
     Node,
     RankedSymbol,
     enumerate_trees,
     parse_tree,
     subtrees,
 )
-from automonad.containers import DETERMINISTIC, FINITE_SET
+from automonad.containers import DETERMINISTIC, FINITE_SET, lin_comb
 from automonad.enriched import (
     DEFAULT_TREE_ALPHABET,
     parse_tree_expression,
@@ -24,6 +25,7 @@ from automonad.treeauto import (
     BottomUpContainerTA,
     BottomUpDetTA,
     MultiOpBUTA,
+    TopDownContainerTA,
     WeightFun,
     bu_complement,
     bu_determinize,
@@ -399,6 +401,21 @@ class TestExploration:
         dot = td_to_dot(auto, result)
         assert len(calls) == len(set(calls)) == 3 * len(ALPHABET)
         assert 'label="g' in dot
+
+    @pytest.mark.parametrize("cont, paid", [(FINITE_SET, True), (lin_comb(INTEGERS), 2)])
+    def test_td_dot_shows_variable_weights_but_neutral(self, cont, paid):
+        # "p" pays nothing toward a variable and reads f into "q", which pays
+        var_weights = {"p": cont.neutral, "q": cont.act_left(paid, cont.unit(UNIT))}
+
+        def delta(symbol, state):
+            return cont.unit(("q",)) if (symbol, state) == (F, "p") else cont.neutral
+
+        auto = TopDownContainerTA(cont, cont.unit("p"), delta, var_weights.get)
+        result = td_explore(auto, ALPHABET)
+        assert result.finals == var_weights
+        dot = td_to_dot(auto, result)
+        assert 'q0 [label="p"];' in dot
+        assert f'q1 [label="q | {render(var_weights["q"])}"];' in dot
 
     def test_truncated_td_dot_names_only_kept_states(self):
         e = parse_tree_expression("@a .() (@g((),()) + @f(()))*()")

@@ -3,9 +3,27 @@ import random
 
 import pytest
 
-from automonad.algebra import BOOLEANS, INTEGERS
+from automonad.algebra import BOOLEANS, INTEGERS, STR_CONCAT
 from automonad.automata import explore
-from automonad.containers import BOOL_EXPR, FINITE_SET, OPTIONAL, BNot, BVar, gen_expr, lin_comb
+from automonad.containers import (
+    BOOL_EXPR,
+    BTRUE,
+    DETERMINISTIC,
+    FINITE_SET,
+    OPTIONAL,
+    BNot,
+    BVar,
+    GConst,
+    GFun,
+    GVar,
+    bool_and,
+    bool_not,
+    bool_or,
+    gen_expr,
+    lin_comb,
+    monoid_pair,
+    stack_context,
+)
 from automonad.util import UNIT, UnsupportedOperation, WeightError, render
 from automonad.wordexpr import (
     BOOLEAN_OPS,
@@ -28,6 +46,7 @@ from automonad.wordexpr import (
     aci_normalize,
     brute_force_language,
     coerce_scalars,
+    collapse_to_expression,
     concat,
     delinearize,
     derivation_automaton,
@@ -289,6 +308,55 @@ class TestDerivation:
             result = explore(auto, alphabet, max_states=1000)
             assert not result.truncated
             assert len(result.states) <= len(alphabet) + 1
+
+
+class TestCollapseToExpression:
+    A, B, C = Sym("a"), Sym("b"), Sym("c")
+
+    def test_optional(self):
+        assert collapse_to_expression(OPTIONAL, None) == EMPTY
+        e = parse_expression("a.b")
+        assert collapse_to_expression(OPTIONAL, e) is e
+
+    def test_finite_set_sums_in_render_order(self):
+        c = frozenset({self.C, star(self.A), self.B})
+        assert collapse_to_expression(FINITE_SET, frozenset()) == EMPTY
+        assert collapse_to_expression(FINITE_SET, c) == plus(plus(star(self.A), self.B), self.C)
+
+    def test_lin_comb_scales_all_but_unit_coefficients(self):
+        c = INT_LIN.from_entries([(self.B, 3), (self.A, 1), (self.C, -2)])
+        expected = plus(plus(self.A, mult_l(3, self.B)), mult_l(-2, self.C))
+        assert collapse_to_expression(INT_LIN, c) == expected
+        assert collapse_to_expression(INT_LIN, INT_LIN.neutral) == EMPTY
+
+    def test_bool_expr_reads_back_nodes(self):
+        c = bool_or(bool_and(BVar(self.A), BVar(self.B)), bool_not(BVar(self.C)))
+        assert collapse_to_expression(BOOL_EXPR, c) == plus(inter(self.A, self.B), neg(self.C))
+        assert collapse_to_expression(BOOL_EXPR, BTRUE) == neg(EMPTY)
+        assert collapse_to_expression(BOOL_EXPR, BOOL_EXPR.neutral) == EMPTY
+
+    def test_gen_expr_reads_back_nodes(self):
+        G = gen_expr(INTEGERS)
+        c = G.combine(GVar(self.A), G.act_left(3, GVar(self.B)))
+        out = collapse_to_expression(G, c)
+        assert expr_to_text(out) == "+(a,·@3,_(b))"
+        scaled = Op(FunctionOp("·@3,_", 1, None), (self.B,))
+        assert out == Op(FunctionOp("+", 2, None), (self.A, scaled))
+        assert collapse_to_expression(G, GConst(5)) == Op(FunctionOp("const5", 0, None), ())
+        six = GFun("·", (GConst(2), GConst(3)), INTEGERS.times)
+        assert collapse_to_expression(G, six) == Op(FunctionOp("const6", 0, None), ())
+        assert collapse_to_expression(G, G.neutral) == EMPTY
+
+    def test_unweighted_containers_raise(self):
+        pairs = monoid_pair(STR_CONCAT)
+        with pytest.raises(UnsupportedOperation):
+            collapse_to_expression(pairs, pairs.unit(self.A))
+        stacks = stack_context(FINITE_SET)
+        with pytest.raises(UnsupportedOperation):
+            collapse_to_expression(stacks, stacks.unit(self.A))
+
+    def test_deterministic_gives_its_element(self):
+        assert collapse_to_expression(DETERMINISTIC, self.A) is self.A
 
 
 class TestAciNormalize:
