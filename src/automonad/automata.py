@@ -2,8 +2,10 @@
 
 An automaton is an initial configuration, a per-symbol Kleisli transition
 `(symbol, state) -> container<state>` and a per-state final weight.  Reading a
-word is a bind-fold of the transition over the configuration; the weight of a
-word folds the final map through the container.
+word is a bind-fold of the transition over the configuration (`config`).  The
+weight of a word folds the final map through the container, forward through
+`bind` or, where the container `folds_backward`, right to left; both give the
+same weight, because `finality_step` is an algebra of the container's monad.
 """
 
 from __future__ import annotations
@@ -56,10 +58,18 @@ class WordAutomaton:
         return c
 
     def weight(self, word):
-        """The bind-fold of `word` through a fresh `tabulated()` table, so
+        """The weight of `word`, read through a fresh `tabulated()` table, so
         each (symbol, state) row is computed once per call; the table is
-        dropped when the call returns."""
+        dropped when the call returns.
+
+        The word folds forward through `bind` (`config`) and the final map
+        weighs the configuration reached, where configurations stay small.
+        Under a container that `folds_backward`, whose configurations grow
+        with the word, it is weighed right to left and no configuration is
+        built."""
         table = self.tabulated()
+        if table.container.folds_backward:
+            return table.weigh_backward(word)
         return table.container.finality_step(table.config(word), table.final)
 
     def recognizes(self, word) -> bool:
@@ -81,10 +91,35 @@ class WordAutomaton:
 
 class _Table(WordAutomaton):
     """A tabulated automaton: its states are already ids, so it is its own
-    table and weighs by the plain bind-fold."""
+    table."""
 
     def tabulated(self) -> WordAutomaton:
         return self
+
+    def weigh_backward(self, word):
+        """The weight of `word`, folded right to left.  A forward pass keeps
+        the rows of the ids reached at each position; the backward pass
+        weighs each of those ids, `beta_n(q) = final(q)` and
+        `beta_i(q) = finality_step(delta(word[i], q), beta_(i+1))`, and the
+        weight is `finality_step(initial, beta_0)`.  This equals the forward
+        fold by the algebra law of `finality_step`."""
+        container = self.container
+
+        def step(sym, reached):
+            rows = tuple((i, self.delta(sym, i)) for i in reached)
+            return rows, frozenset(j for _i, row in rows for j in container.support(row))
+
+        step = _memo(step)
+        steps = []
+        reached = frozenset(container.support(self.initial))
+        for sym in word:
+            rows, reached = step(sym, reached)
+            steps.append(rows)
+        beta = {i: self.final(i) for i in reached}
+        for rows in reversed(steps):
+            weigh = beta.__getitem__
+            beta = {i: container.finality_step(row, weigh) for i, row in rows}
+        return container.finality_step(self.initial, beta.__getitem__)
 
 
 def _memo(fn: Callable) -> Callable:

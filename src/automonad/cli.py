@@ -99,6 +99,8 @@ def cmd_build(args) -> int:
 def cmd_weight(args) -> int:
     if args.kind == "tree" and ("pattern", args.method) in CONSTRUCTIONS:
         # the expression argument is the subject tree the pattern is sought in
+        if args.expression is None:
+            raise ExprSyntaxError("no subject tree given", 0)
         subject = parse_tree(args.expression, args.alphabet)
         if subject.arity():
             raise ExprSyntaxError("the subject tree must have no holes", 0)
@@ -175,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weight", help="weight of a word or tree")
     _add_common(p)
-    _add_expression_source(p, help="expression text (or subject tree for occurrence)")
+    _add_expression_source(p, nargs="?", help="expression text (or subject tree for occurrence)")
     p.add_argument("input", help="word, or tree in name(child,...) form")
     p.add_argument("--method", default="derivation", choices=methods("word", "tree", "pattern"))
     p.add_argument("--weights", default="bool", choices=list(WEIGHTS))

@@ -26,6 +26,10 @@ class EffectContainer:
     """
 
     weights: StarSemiring
+    # Word weights fold right to left (`WordAutomaton.weight`): set where a
+    # configuration grows with the word, so that rebuilding it at every
+    # symbol would make one word quadratic in its length.
+    folds_backward = False
 
     def unit(self, x):
         raise NotImplementedError
@@ -54,7 +58,12 @@ class EffectContainer:
         raise NotImplementedError
 
     def finality_step(self, c, final: Callable[[Any], Any]):
-        """Weight of a configuration under a per-element finality map."""
+        """Weight of a configuration under a per-element finality map.
+
+        It is an algebra of the monad: every override must keep
+        `finality_step(bind(c, f), g) == finality_step(c, lambda y:
+        finality_step(f(y), g))`, which lets a word be weighed backward.
+        This default, defined through `bind`, keeps it by associativity."""
         return self.weight_cast(
             self.bind(c, lambda s: self.act_left(final(s), self.unit(UNIT)))
         )
@@ -635,7 +644,10 @@ def gen_expr_variables(e) -> list:
 
 
 class GenExprContainer(EffectContainer):
-    """Expression trees with arbitrary n-ary operations on a weight type."""
+    """Expression trees with arbitrary n-ary operations on a weight type.
+    A word's configuration nests one row per symbol, so words fold backward."""
+
+    folds_backward = True
 
     def __init__(self, weights: StarSemiring):
         self.weights = weights
@@ -962,11 +974,14 @@ def check_container_laws(
     equal: Callable | None = None,
     monoid_laws: bool = True,
     action_laws: bool = True,
+    finals: list[Callable] | None = None,
 ) -> LawReport:
     """Probe monad, monoid and action laws on random cases.
 
     `functions` map elements to container values.  `equal` defaults to `==`
     on container values; stack contexts pass an extensional comparator.
+    `finals`, when given, map elements to weights, and the algebra law of
+    `finality_step` ("finality-bind") is probed with them.
     """
     rng = random.Random(seed)
     report = LawReport(repr(container))
@@ -1043,6 +1058,14 @@ def check_container_laws(
                         ),
                     ),
                 )
+        if finals:
+            final = rng.choice(finals)
+            step = container.finality_step
+            report.record(
+                "finality-bind",
+                step(container.bind(c, f), final)
+                == step(c, lambda y: step(f(y), final)),
+            )
     return report
 
 

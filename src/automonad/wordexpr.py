@@ -321,9 +321,10 @@ class _Parser(Scanner):
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
-        if self.pos == start:
+        if self.pos == digits:
             self.error("expected integer scalar")
         value = int(self.text[start : self.pos])
         self.eat("]")

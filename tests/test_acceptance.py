@@ -331,6 +331,9 @@ def test_criterion_11_law_suites():
     assert check_semiring_laws(BOOLEANS, [False, True], starrable=[False, True]).ok
     assert check_semiring_laws(INTEGERS, [-2, -1, 0, 1, 2, 3], starrable=[0]).ok
 
+    # finality maps for the algebra law of `finality_step` ("finality-bind")
+    bool_finals = [lambda x: x % 2 == 0, lambda x: x > 2, lambda _x: False]
+    int_finals = [lambda x: x, lambda x: 2 * x - 3, lambda _x: 0]
     suites = []
     suites.append(
         check_container_laws(
@@ -338,12 +341,14 @@ def test_criterion_11_law_suites():
             list(range(5)),
             [lambda x: frozenset({x}), lambda x: frozenset({x, x + 1}), lambda _x: frozenset()],
             cases=100,
+            finals=bool_finals,
         )
     )
     suites.append(
         check_container_laws(
             OPTIONAL, list(range(5)), [lambda x: x, lambda x: x + 1, lambda _x: None],
             cases=100,
+            finals=bool_finals,
         )
     )
     suites.append(
@@ -356,6 +361,7 @@ def test_criterion_11_law_suites():
                 lambda _x: INT_LIN.neutral,
             ],
             cases=100,
+            finals=int_finals,
         )
     )
     suites.append(
@@ -364,6 +370,7 @@ def test_criterion_11_law_suites():
             list(range(4)),
             [lambda x: BVar(x), lambda x: BOOL_EXPR.combine(BVar(x), BVar(x + 1)), lambda _x: BOOL_EXPR.neutral],
             cases=100,
+            finals=bool_finals,
         )
     )
     G = gen_expr(INTEGERS)
@@ -383,6 +390,7 @@ def test_criterion_11_law_suites():
             [lambda x: G.unit(x), lambda x: G.combine(G.unit(x), G.unit(x + 1)), lambda _x: G.neutral],
             cases=100,
             equal=gen_eq,
+            finals=int_finals,
         )
     )
     from automonad.algebra import INT_SUM, STR_CONCAT, product_monoid
@@ -396,6 +404,7 @@ def test_criterion_11_law_suites():
             cases=100,
             monoid_laws=False,
             action_laws=False,
+            finals=[lambda x: (x, "b" * x), lambda _x: M.monoid.neutral, lambda x: (-x, "c")],
         )
     )
     S = stack_context(FINITE_SET)

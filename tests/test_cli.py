@@ -88,6 +88,18 @@ class TestWeight:
         expected = wx.brute_force_language(e, 2, INTEGERS).get(("a", "b"), 0)
         assert capsys.readouterr().out.strip() == str(expected)
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["weight", "word", "--random", "0", "6", "ab"], "false"),
+            (["weight", "word", "--random", "0", "6", "ba", "--weights", "int"], "3"),
+        ],
+    )
+    def test_random_expression_needs_no_placeholder(self, argv, expected, capsys):
+        # (b*+b.a).(a+a)* weighs "ba" 3 over the integers and rejects "ab"
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == expected
+
     @pytest.mark.parametrize("command", ["build", "weight"])
     @pytest.mark.parametrize("weights", ["boolexpr", "genexpr"])
     def test_tree_weights_checked_by_both_subcommands(self, command, weights, capsys):
@@ -176,6 +188,9 @@ EXITS = {
     ("build", "word", "--caps", "0", "a"): EXIT_CAPS,
     ("weight", "tree", "--method", "occurrence", "_", "a"): EXIT_PARSE,
     ("weight", "tree", "--method", "occurrence", "g(_,a)", "a"): EXIT_PARSE,
+    ("weight", "word", "[-]:a", "ab"): EXIT_PARSE,
+    ("weight", "word", "[ ]:a", "ab"): EXIT_PARSE,
+    ("weight", "tree", "--method", "occurrence", "g(_,_)"): EXIT_PARSE,
 }
 HOSTILE += [list(argv) for argv in EXITS]
 EXPRESSIONS = {"word": ("[2]:a*.b", "ab"), "tree": ("@a .() (@f(()))*()", "f(a)")}

@@ -99,6 +99,18 @@ class TestLawSuites:
         )
         assert report.ok, report.failures
 
+    def test_finality_law_catches_an_override_that_drops_coefficients(self):
+        class Uncounted(type(INT_LIN)):
+            def finality_step(self, c, final):
+                return sum(final(x) for x, _k in c.items())
+
+        broken = Uncounted(INTEGERS)
+        fs = [lambda x: broken.unit(x), lambda x: broken.from_entries([(x, 2), (x + 1, -1)])]
+        finals = [lambda x: x, lambda x: 2 * x - 3]
+        assert check_container_laws(INT_LIN, list(range(4)), fs, finals=finals).ok
+        report = check_container_laws(broken, list(range(4)), fs, finals=finals)
+        assert {law for law, _detail in report.failures} == {"finality-bind"}
+
     def test_stack_context_extensional(self):
         S = stack_context(FINITE_SET)
         fs = [

@@ -4,6 +4,7 @@ the probes the harnesses draw, and each (symbol, state) row, variable
 initialization and final weight must be computed exactly once.  A word
 automaton's own `weight` reads through such a table, one per call."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -75,6 +76,17 @@ def test_tabulated_weights_equal_raw_weights(kind, method, weights):
         table = auto.tabulated()
         for probe in probes:
             assert table.weight(*probe) == untabulated_weight(auto, *probe), (seed, probe)
+
+
+@pytest.mark.parametrize("method", ["derivation", "positions"])
+def test_backward_weights_equal_the_forward_fold(method):
+    words = [w for n in range(7) for w in itertools.product(WORD_ALPHABET, repeat=n)]
+    for seed in SEEDS:
+        e = wx.random_expression(seed, 8, WORD_ALPHABET, wx.SCALAR_OPS)
+        auto = construct("word", method, "genexpr", e)
+        assert auto.container.folds_backward
+        for w in words:
+            assert auto.weight(w) == untabulated_weight(auto, w), (seed, w)
 
 
 def counted(fn, calls: dict):

@@ -572,6 +572,22 @@ class TestGeneralizedAlternating:
             expected = math.sqrt(sum(c * c for c in counts) / present)
             assert auto.weight(w) == pytest.approx(expected)
 
+    def test_long_word_weighs_without_deep_recursion(self):
+        # each vowel nests one more `1+` node in the forward configuration
+        auto = self._quadratic_mean_automaton("aeiou")
+        assert auto.weight("a" * 800) == 800.0
+
+    def test_long_random_word_matches_closed_form(self):
+        import math
+        import string
+
+        auto = self._quadratic_mean_automaton("aeiou")
+        rng = random.Random(2000)
+        w = "".join(rng.choice(string.ascii_lowercase) for _ in range(2000))
+        counts = [w.count(v) for v in "aeiou"]
+        expected = math.sqrt(sum(c * c for c in counts) / sum(1 for c in counts if c))
+        assert math.isclose(auto.weight(w), expected, rel_tol=1e-9)
+
 
 class TestSequential:
     def test_empty_word(self):
