@@ -23,8 +23,6 @@ from .algebra import (
     enumerate_trees,
     parse_tree,
     product_monoid,
-    tree_arity,
-    tree_compose,
     tree_fold,
     tree_to_text,
     word_fold,
@@ -42,18 +40,13 @@ from .automata import (
     complete,
     complete_dfa,
     concatenate,
-    delta_from_table,
     determinize,
     explore,
-    hadamard,
     intersection,
     kleene_star,
     make_pda,
-    memoize_automaton,
     nfa_to_partial_dfa,
-    parallel_product,
     sequential_pair_automaton,
-    sum_weighted,
     to_dot,
     to_k_dfa,
     union,
@@ -68,7 +61,6 @@ from .containers import (
     bool_expr_to_clauses,
     check_container_laws,
     check_semiring_laws,
-    convert,
     eval_bool_expr,
     eval_gen_expr,
     gen_expr,
@@ -81,7 +73,6 @@ from .enriched import (
     EnrichedExpression,
     TreeAtom,
     WordAtom,
-    concat_var,
     enriched_derive,
     expression_to_text,
     final_symbols,
@@ -105,9 +96,7 @@ from .treeauto import (
     MultiOpBUTA,
     TopDownContainerTA,
     WeightFun,
-    bu_complement,
     bu_determinize,
-    bu_pack,
     occurrence_automaton,
     td_explore,
     td_to_dot,
@@ -127,7 +116,6 @@ from .wordexpr import (
     WordExpression,
     brute_force_language,
     derivation_automaton,
-    derive_by_word,
     expr_to_text,
     glushkov_functions,
     inductive_automaton,

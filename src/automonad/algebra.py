@@ -7,7 +7,6 @@ exactly k holes, consumed left to right).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -258,14 +257,6 @@ def parse_tree(text: str, alphabet: Sequence[RankedSymbol] | None = None) -> Ran
     return tree
 
 
-def tree_arity(t: RankedTree) -> int:
-    return t.arity()
-
-
-def tree_compose(t: RankedTree, parts: Sequence[RankedTree]) -> RankedTree:
-    return t.compose(parts)
-
-
 def subtrees(t: RankedTree):
     """All subtrees of `t`, including `t` itself (pre-order, with repeats)."""
     yield t
@@ -309,20 +300,19 @@ def tree_fold(symbol_map: Callable[[RankedSymbol], Callable], t: RankedTree):
 
 def enumerate_trees(alphabet: Sequence[RankedSymbol], max_depth: int):
     """All nullary trees over `alphabet` of depth <= max_depth."""
-    by_depth: list[list[RankedTree]] = []
     upto: list[RankedTree] = []
+    layer: list[RankedTree] = []
     for depth in range(max_depth):
-        layer = []
+        last, layer = set(layer), []
         for sym in alphabet:
             if sym.arity == 0:
                 if depth == 0:
                     layer.append(Node(sym))
             elif depth > 0:
+                # over `upto`, a node is one deeper than `last` iff a child is in it
                 for combo in _tuples(upto, sym.arity):
-                    node = Node(sym, combo)
-                    if _depth(node) == depth + 1:
-                        layer.append(node)
-        by_depth.append(layer)
+                    if any(child in last for child in combo):
+                        layer.append(Node(sym, combo))
         upto = upto + layer
     return upto
 
@@ -334,13 +324,3 @@ def _tuples(pool, n):
     for head in pool:
         for rest in _tuples(pool, n - 1):
             yield (head,) + rest
-
-
-@functools.lru_cache(maxsize=None)
-def _depth(t: RankedTree) -> int:
-    if t is HOLE:
-        return 1
-    assert isinstance(t, Node)
-    if not t.children:
-        return 1
-    return 1 + max(_depth(c) for c in t.children)

@@ -156,33 +156,9 @@ class _StateIds:
         return self.container.map(self.of, c)
 
 
-def delta_from_table(table: dict, container: EffectContainer) -> Callable:
-    """Transition function from a `{(state, symbol): value}` dict; missing
-    entries are the container's neutral."""
-
-    def delta(sym, state):
-        try:
-            return table[(state, sym)]
-        except KeyError:
-            return container.neutral
-
-    return delta
-
-
 def complete_dfa(initial, delta: Callable, final: Callable) -> WordAutomaton:
     """A complete deterministic automaton (identity-container automaton)."""
     return WordAutomaton(DETERMINISTIC, initial, delta, final)
-
-
-def memoize_automaton(auto: WordAutomaton, counter: dict | None = None) -> WordAutomaton:
-    """Cache (state, symbol) transitions; `counter` counts real computations."""
-
-    def delta(sym, state):
-        if counter is not None:
-            counter[(state, sym)] = counter.get((state, sym), 0) + 1
-        return auto.delta(sym, state)
-
-    return replace(auto, delta=_memo(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +430,6 @@ class ParallelAutomaton:
         return (self.left.weight(word), self.right.weight(word))
 
 
-def parallel_product(a: WordAutomaton, b: WordAutomaton) -> ParallelAutomaton:
-    return ParallelAutomaton(a, b)
-
-
 def _same_container(a: WordAutomaton, b: WordAutomaton, what: str) -> EffectContainer:
     if type(a.container) is not type(b.container):
         raise UnsupportedOperation(f"{what} requires matching containers")
@@ -482,9 +454,6 @@ def intersection(a: WordAutomaton, b: WordAutomaton) -> WordAutomaton:
     return WordAutomaton(cont, pairs(a.initial, b.initial), delta, final)
 
 
-hadamard = intersection
-
-
 def union(a: WordAutomaton, b: WordAutomaton) -> WordAutomaton:
     """Disjoint-sum automaton; initial configurations combine, weights add."""
     cont = _same_container(a, b, "union")
@@ -499,9 +468,6 @@ def union(a: WordAutomaton, b: WordAutomaton) -> WordAutomaton:
 
     initial = cont.combine(cont.map(Inl, a.initial), cont.map(Inr, b.initial))
     return WordAutomaton(cont, initial, delta, final)
-
-
-sum_weighted = union
 
 
 def concatenate(a: WordAutomaton, b: WordAutomaton) -> WordAutomaton:

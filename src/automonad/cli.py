@@ -195,50 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--palette", default="simple", choices=list(PALETTES))
     p.set_defaults(fn=cmd_random)
 
+    parser.commands = sub.choices  # subcommand parsers by name, for `main`
     return parser
-
-
-_FLAG_ARITY = {
-    "--alphabet": 1,
-    "--seed": 1,
-    "--method": 1,
-    "--weights": 1,
-    "--palette": 1,
-    "--caps": 1,
-    "--format": 1,
-    "--instances": 1,
-    "--probes": 1,
-    "--size": 1,
-    "--random": 2,
-}
-
-
-def _reorder(argv):
-    """Allow positionals after flags (`build word --method x "a*"`):
-    argparse subparsers cannot intermix them, so sort flags to the back."""
-    if not argv:
-        return argv
-    head, rest = argv[:1], argv[1:]
-    positionals, flags = [], []
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if tok.startswith("--"):
-            take = 1 + _FLAG_ARITY.get(tok.split("=")[0], 0 if "=" in tok else 0)
-            if "=" in tok:
-                take = 1
-            flags.extend(rest[i : i + take])
-            i += take
-        else:
-            positionals.append(tok)
-            i += 1
-    return head + positionals + flags
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = parser.parse_args(_reorder(argv))
+    # a subcommand parses its own arguments intermixed, so positionals may
+    # follow flags (`build word --method x "a*"`); anything else is left to
+    # the top-level parser's usage error or help
+    command = parser.commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_intermixed_args(argv[1:])
     try:
         text = DEFAULT_ALPHABETS[args.kind] if args.alphabet is None else args.alphabet
         parse_alphabet = _parse_word_alphabet if args.kind == "word" else _parse_tree_alphabet

@@ -919,32 +919,6 @@ def stack_context(inner: EffectContainer) -> StackContextContainer:
 
 
 # ---------------------------------------------------------------------------
-# Conversions between containers
-# ---------------------------------------------------------------------------
-
-
-def convert(source: EffectContainer, target: EffectContainer, c):
-    """Natural conversions between container kinds.
-
-    Supported: FiniteSet <-> LinComb over booleans, OptionalValue -> FiniteSet
-    and BooleanExpressionTree -> FiniteSet of conjunctive clauses.
-    """
-    if isinstance(source, FiniteSetContainer) and isinstance(target, LinCombContainer):
-        if target.weights is not BOOLEANS:
-            raise UnsupportedOperation("set conversion targets boolean weights")
-        return LinComb({x: True for x in c})
-    if isinstance(source, LinCombContainer) and isinstance(target, FiniteSetContainer):
-        if source.weights is not BOOLEANS:
-            raise UnsupportedOperation("set conversion needs boolean weights")
-        return frozenset(x for x in c)
-    if isinstance(source, OptionalContainer) and isinstance(target, FiniteSetContainer):
-        return frozenset(() if c is None else (c,))
-    if isinstance(source, BoolExprContainer) and isinstance(target, FiniteSetContainer):
-        return bool_expr_to_clauses(c)
-    raise UnsupportedOperation(f"no conversion from {source!r} to {target!r}")
-
-
-# ---------------------------------------------------------------------------
 # Law checking
 # ---------------------------------------------------------------------------
 

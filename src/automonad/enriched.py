@@ -75,11 +75,6 @@ class EStar(EnrichedExpression):
 E_EMPTY = EEmpty()
 
 
-def concat_var(v, e1, e2) -> ESub:
-    """Substitution in the conventional tree-expression order."""
-    return ESub(v, e2, e1)
-
-
 @dataclass(frozen=True)
 class WordAtom:
     """A word symbol tensored with the unit variable: the unary tree atom."""

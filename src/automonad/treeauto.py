@@ -119,16 +119,6 @@ class BottomUpDetTA(BottomUpContainerTA):
         return lambda *variables: self.weight(t, variables)
 
 
-def bu_complement(auto: BottomUpDetTA) -> BottomUpDetTA:
-    """Flip the boolean finality of a complete deterministic automaton."""
-    return BottomUpDetTA(auto.init, auto.delta, lambda s: not auto.final(s))
-
-
-def bu_pack(container, delta, is_final) -> BottomUpContainerTA:
-    """Variable-free container automaton from a transition and a finality."""
-    return BottomUpContainerTA(container, None, delta, is_final)
-
-
 def bu_determinize(auto: BottomUpContainerTA) -> BottomUpDetTA:
     """Subset construction for variable-free finite-set tree automata:
     delta(f, (Q1..Qn)) is the union over all member tuples."""
@@ -264,10 +254,6 @@ class WeightFun:
         if len(args) != self.arity:
             raise ValueError(f"{self.arity}-ary weight applied to {len(args)} arguments")
         return self.fn(*args)
-
-
-def const_fun(arity: int, value) -> WeightFun:
-    return WeightFun(arity, lambda *_: value)
 
 
 @dataclass(frozen=True)

@@ -765,14 +765,6 @@ def monadic_derive(sym, e: WordExpression, container: EffectContainer):
     raise TypeError(f"unknown operator {op!r}")
 
 
-def derive_by_word(word, e: WordExpression, container: EffectContainer):
-    """Bind-fold of the derivative over a word; the empty word yields unit."""
-    c = container.unit(e)
-    for sym in word:
-        c = container.bind(c, lambda d, sym=sym: monadic_derive(sym, d, container))
-    return c
-
-
 def aci_normalize(e: WordExpression, weights: StarSemiring) -> WordExpression:
     """Sum normal form used for derivation-state identity.
 

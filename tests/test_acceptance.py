@@ -44,13 +44,11 @@ from automonad.containers import (
 )
 from automonad import wordexpr as wx
 from automonad.treeauto import (
+    BottomUpContainerTA,
     BottomUpDetTA,
     MultiOpBUTA,
     WeightFun,
-    bu_complement,
     bu_determinize,
-    bu_pack,
-    const_fun,
     occurrence_automaton,
 )
 from automonad.util import UNIT, render
@@ -192,13 +190,13 @@ def test_criterion_5_tree_weights():
 
     def delta(sym, states):
         if sym.arity == 0:
-            return {HS: const_fun(0, 1), WS: const_fun(0, 1)}
+            return {HS: WeightFun(0, lambda: 1), WS: WeightFun(0, lambda: 1)}
         n = sym.arity
         if all(s == HS for s in states):
             return {HS: WeightFun(n, lambda *xs: 1 + max(xs))}
         if all(s == WS for s in states):
             return {WS: WeightFun(n, lambda *xs: 1 + sum(xs))}
-        return {None: const_fun(n, 1)}
+        return {None: WeightFun(n, lambda *_: 1)}
 
     def init(var):
         return {
@@ -257,7 +255,7 @@ def test_criterion_6_rwta_modular_arithmetic():
     assert even.recognizes(t)
     assert weights.weight(t_ko) is None
     assert not even.recognizes(t_ko)
-    comp = bu_complement(even)
+    comp = BottomUpDetTA(None, even.delta, lambda s: not even.final(s))
     assert not comp.recognizes(t)
     assert comp.recognizes(t_ko)
     report(6, "RWTA mod-19 weight 2, even, KO rejected, complement flips")
@@ -316,7 +314,7 @@ def test_criterion_10_tree_determinization():
             return frozenset({1}) if states == (1, 1) else frozenset()
         return frozenset()
 
-    auto = bu_pack(FINITE_SET, delta, lambda s: s == 2)
+    auto = BottomUpContainerTA(FINITE_SET, None, delta, lambda s: s == 2)
     det = bu_determinize(auto)
     trees = enumerate_trees([A, B, F, H, G], 4)
     assert len(trees) == 15130

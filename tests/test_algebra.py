@@ -16,8 +16,6 @@ from automonad.algebra import (
     TUPLE_CONCAT,
     parse_tree,
     product_monoid,
-    tree_arity,
-    tree_compose,
     tree_fold,
     tree_to_text,
     word_fold,
@@ -76,14 +74,14 @@ class TestMonoids:
 
 class TestTrees:
     def test_arity_of_hole(self):
-        assert tree_arity(HOLE) == 1
+        assert HOLE.arity() == 1
 
     def test_arity_of_nullary_leaf(self):
-        assert tree_arity(Node(A0)) == 0
+        assert Node(A0).arity() == 0
 
     def test_arity_of_mixed_tree(self):
         t = Node(G2, (HOLE, Node(F1, (HOLE,))))
-        assert tree_arity(t) == 2
+        assert t.arity() == 2
 
     def test_parse_print_round_trip(self):
         for text in ["a", "g(a,f(b))", "g(_,f(_))", "f(g(a,a))", "*(-(+(513,838)),37)"]:
@@ -104,14 +102,14 @@ class TestTrees:
 
     def test_compose_unit_law(self):
         t = Node(G2, (Node(A0), Node(B0)))
-        assert tree_compose(HOLE, [t]) == t
+        assert HOLE.compose([t]) == t
 
     def test_compose_plug_leaf(self):
-        assert tree_compose(Node(F1, (HOLE,)), [Node(A0)]) == Node(F1, (Node(A0),))
+        assert Node(F1, (HOLE,)).compose([Node(A0)]) == Node(F1, (Node(A0),))
 
     def test_compose_arity_mismatch(self):
         with pytest.raises(ValueError):
-            tree_compose(HOLE, [])
+            HOLE.compose([])
 
     def test_compose_associativity_bruteforce(self):
         # vertical associativity on all trees of size <= 4 over {a, f, g}
@@ -119,21 +117,21 @@ class TestTrees:
         rng = random.Random(5)
         cases = 0
         for t in trees:
-            k = tree_arity(t)
+            k = t.arity()
             if k == 0 or k > 2:
                 continue
             for us in _pick_lists(trees, k, rng, limit=6):
-                m = sum(tree_arity(u) for u in us)
+                m = sum(u.arity() for u in us)
                 if m > 2:
                     continue
                 for vs in _pick_lists(trees, m, rng, limit=4):
-                    left = tree_compose(tree_compose(t, us), vs)
+                    left = t.compose(us).compose(vs)
                     pieces, rest = [], list(vs)
                     for u in us:
-                        n = tree_arity(u)
-                        pieces.append(tree_compose(u, rest[:n]))
+                        n = u.arity()
+                        pieces.append(u.compose(rest[:n]))
                         rest = rest[n:]
-                    right = tree_compose(t, pieces)
+                    right = t.compose(pieces)
                     assert left == right
                     cases += 1
         assert cases > 50

@@ -1,8 +1,8 @@
-import argparse
+import contextlib
 import io
-import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from automonad import wordexpr as wx
 from automonad.algebra import INTEGERS
@@ -143,8 +143,7 @@ def test_bad_alphabet_is_a_parse_error(argv, capsys):
 
 
 def _choices(command, dest):
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+    return next(a for a in build_parser().commands[command]._actions if a.dest == dest).choices
 
 
 def test_parser_choices_are_the_registry_keys():
@@ -215,6 +214,63 @@ def test_no_traceback(argv, capsys):
     code = main(argv)
     assert isinstance(code, int) and code in {0, 2, 3, 4, 5}
     assert code == EXITS.get(tuple(argv), code)
+
+
+# hostile argvs as a property: the parser's own grammar with drawn values,
+# and raw character soup.  No digits in the soup, and every drawn number is
+# small; `build` and `validate` start from small bounds (a drawn flag after
+# them wins), so each example takes milliseconds.
+SOUP = st.text(" ()[]*+.&~:_@,/-=abfgé²\t", max_size=10)
+SMALL = st.integers(-1, 3).map(str)
+TEXTS = st.sampled_from(["a*", "[2]:a*.b", "(a+b)*.a", "ab", "", "@a .() (@f(()))*()", "f(a)", "g(_,a)"])
+ALPHABETS = st.sampled_from(["ab", "a/0,f/1,g/2", "f/1", ""])
+BOUNDS = {"build": ["--caps", "50"], "validate": ["--instances", "2", "--probes", "3"]}
+
+
+def _value(action):
+    if action.choices:
+        return st.sampled_from(list(action.choices))
+    if action.type is int:
+        return SMALL
+    return ALPHABETS if action.dest == "alphabet" else TEXTS | SOUP
+
+
+@st.composite
+def grammar_argvs(draw):
+    """A subcommand's positionals in order, with drawn flags between them."""
+    commands = build_parser().commands
+    command = draw(st.sampled_from(list(commands)))
+    positionals, flags = [], []
+    for action in commands[command]._actions:
+        arity = action.nargs if isinstance(action.nargs, int) else 1
+        values = [draw(_value(action)) for _ in range(arity)]
+        if not action.option_strings:
+            if action.nargs != "?" or draw(st.booleans()):
+                positionals.append(values)
+        elif action.dest != "help" and draw(st.booleans()):
+            flags.append([action.option_strings[-1], *values])
+    slots = iter(positionals)
+    order = draw(st.permutations([None] * len(positionals) + flags))
+    return [command, *BOUNDS.get(command, []), *(t for flag in order for t in (flag or next(slots)))]
+
+
+TOKENS = st.sampled_from(["build", "weight", "word", "tree", "-", "--", "-h", "--random", "--method", "--alphabet"])
+SOUP_ARGVS = st.lists(TOKENS | SMALL | SOUP, max_size=8).map(
+    lambda argv: argv[:1] + BOUNDS.get(argv[0] if argv else "", []) + argv[1:]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(grammar_argvs(), grammar_argvs(), SOUP_ARGVS))
+def test_hostile_argv_never_tracebacks(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and help
+            code = exc.code
+    assert code in {0, 2, 3, 4, 5}, argv
+    assert "Traceback" not in err.getvalue()
 
 
 # the deepest group, then the longest chain, that the parsers accept

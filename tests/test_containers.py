@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from automonad.algebra import BOOLEANS, INT_SUM, INTEGERS, STR_CONCAT, product_monoid
+from automonad.algebra import INT_SUM, INTEGERS, STR_CONCAT, product_monoid
 from automonad.containers import (
     BFALSE,
     BOOL_EXPR,
@@ -25,7 +25,6 @@ from automonad.containers import (
     bool_not,
     bool_or,
     check_container_laws,
-    convert,
     eval_bool_expr,
     eval_gen_expr,
     gen_expr,
@@ -235,40 +234,6 @@ class TestWeightCast:
         assert BOOL_EXPR.weight_cast(bool_and(BTRUE, BTRUE)) is True
         G = gen_expr(INTEGERS)
         assert G.weight_cast(GFun("+", (GConst(2), GConst(3)), INTEGERS.plus)) == 5
-
-
-class TestConvert:
-    def test_set_to_lincomb(self):
-        BL = lin_comb(BOOLEANS)
-        c = convert(FINITE_SET, BL, frozenset({"p", "q"}))
-        assert c == BL.from_entries([("p", True), ("q", True)])
-
-    def test_lincomb_to_set(self):
-        BL = lin_comb(BOOLEANS)
-        assert convert(BL, FINITE_SET, BL.from_entries([("p", True)])) == frozenset({"p"})
-
-    def test_optional_to_set(self):
-        assert convert(OPTIONAL, FINITE_SET, "p") == frozenset({"p"})
-        assert convert(OPTIONAL, FINITE_SET, None) == frozenset()
-
-    def test_boolexpr_to_clauses(self):
-        e = bool_or(BVar("p"), bool_and(BVar("q"), BVar("r")))
-        got = convert(BOOL_EXPR, FINITE_SET, e)
-        assert got == frozenset({frozenset({"p"}), frozenset({"q", "r"})})
-
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedOperation):
-            convert(FINITE_SET, OPTIONAL, frozenset())
-
-    @given(st.sets(st.integers(0, 6), max_size=5))
-    def test_round_trip_preserves_boolean_weight(self, values):
-        BL = lin_comb(BOOLEANS)
-        s = frozenset(values)
-        c = convert(FINITE_SET, BL, s)
-        assert convert(BL, FINITE_SET, c) == s
-        # weight_cast o convert = weight_cast on unit-element containers
-        u = frozenset({UNIT}) if values else frozenset()
-        assert BL.weight_cast(convert(FINITE_SET, BL, u)) == FINITE_SET.weight_cast(u)
 
 
 class TestRendering:

@@ -19,7 +19,6 @@ from automonad.enriched import (
     WordAtom,
     aci_normalize,
     atoms_of,
-    concat_var,
     delinearize,
     enriched_derive,
     expression_to_text,
@@ -124,10 +123,6 @@ class TestStructuralOps:
         a = watom("a")
         parts = weighted_sum_decomposition(ESum(a, a), INTEGERS)
         assert parts == [(a, 2)]
-
-    def test_concat_var_flips(self):
-        e1, e2 = watom("a"), watom("b")
-        assert concat_var("v", e1, e2) == ESub("v", e2, e1)
 
     def test_sub_var_simplification(self):
         e = ESub("v", watom("a"), EVar("v"))

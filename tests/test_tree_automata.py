@@ -27,10 +27,7 @@ from automonad.treeauto import (
     MultiOpBUTA,
     TopDownContainerTA,
     WeightFun,
-    bu_complement,
     bu_determinize,
-    bu_pack,
-    const_fun,
     occurrence_automaton,
     td_explore,
     td_to_dot,
@@ -99,10 +96,11 @@ class TestModularRwta:
         assert not even_recognizer().recognizes(T_KO)
 
     def test_complement_flips(self):
-        comp = bu_complement(even_recognizer())
+        even = even_recognizer()
+        comp = BottomUpDetTA(even.init, even.delta, lambda s: not even.final(s))
         assert not comp.recognizes(T_OK)
         assert comp.recognizes(T_KO)
-        double = bu_complement(comp)
+        double = BottomUpDetTA(comp.init, comp.delta, lambda s: not comp.final(s))
         assert double.recognizes(T_OK) == even_recognizer().recognizes(T_OK)
 
     def test_variable_weights(self):
@@ -151,7 +149,7 @@ def figure_nta():
             return frozenset({1}) if states == (1, 1) else frozenset()
         return frozenset()
 
-    return bu_pack(FINITE_SET, delta, lambda s: s == 2)
+    return BottomUpContainerTA(FINITE_SET, None, delta, lambda s: s == 2)
 
 
 class TestContainerAutomata:
@@ -168,7 +166,7 @@ class TestContainerAutomata:
         def delta(sym, states):
             return frozenset({(sym.name, states)})
 
-        auto = bu_pack(FINITE_SET, delta, lambda _s: True)
+        auto = BottomUpContainerTA(FINITE_SET, None, delta, lambda _s: True)
         det = bu_determinize(auto)
         t = parse_tree("g(a,b)", ALPHABET)
         config = auto.config(t)
@@ -195,7 +193,7 @@ class TestContainerAutomata:
                 return frozenset({1, 2})
             return frozenset({states})
 
-        auto = bu_pack(FINITE_SET, delta, lambda _s: True)
+        auto = BottomUpContainerTA(FINITE_SET, None, delta, lambda _s: True)
         t = parse_tree("g(a,b)", ALPHABET)
         assert auto.config(t) == frozenset(itertools.product((1, 2), repeat=2))
 
@@ -264,13 +262,13 @@ def height_width_automaton():
 
     def delta(sym, states):
         if sym.arity == 0:
-            return {HS: const_fun(0, 1), WS: const_fun(0, 1)}
+            return {HS: WeightFun(0, lambda: 1), WS: WeightFun(0, lambda: 1)}
         n = sym.arity
         if all(s == HS for s in states):
             return {HS: WeightFun(n, lambda *xs: 1 + max(xs))}
         if all(s == WS for s in states):
             return {WS: WeightFun(n, lambda *xs: 1 + sum(xs))}
-        return {None: const_fun(n, 1)}
+        return {None: WeightFun(n, lambda *_: 1)}
 
     def init(var):
         return {HS: WeightFun(1, lambda _x: 1), WS: WeightFun(1, lambda _x, v=var: len(v))}
@@ -355,14 +353,18 @@ class TestExploration:
 
     def test_cap_below_leaf_states(self):
         leaves = [RankedSymbol(f"c{i}", 0) for i in range(5)]
-        auto = bu_pack(FINITE_SET, lambda sym, _states: frozenset({sym.name}), bool)
+        auto = BottomUpContainerTA(
+            FINITE_SET, None, lambda sym, _states: frozenset({sym.name}), bool
+        )
         result = tree_explore(auto, leaves + [F], max_states=3)
         assert result.truncated
         assert len(result.states) == 3
 
     def test_truncated_dot_names_only_kept_states(self):
         leaves = [RankedSymbol(name, 0) for name in "abcde"]
-        auto = bu_pack(FINITE_SET, lambda sym, _states: frozenset({sym.name}), bool)
+        auto = BottomUpContainerTA(
+            FINITE_SET, None, lambda sym, _states: frozenset({sym.name}), bool
+        )
         result = tree_explore(auto, leaves, max_states=3)
         assert result.truncated
         _assert_names_only_kept_states(tree_to_dot(result), result)

@@ -6,6 +6,7 @@ import pytest
 from automonad.algebra import BOOLEANS, INTEGERS
 from automonad.automata import (
     ExplorationResult,
+    ParallelAutomaton,
     WordAutomaton,
     afa_to_complete_dfa,
     afa_to_nfa,
@@ -14,16 +15,12 @@ from automonad.automata import (
     complete,
     complete_dfa,
     concatenate,
-    delta_from_table,
     determinize,
     explore,
-    hadamard,
     intersection,
     kleene_star,
     make_pda,
-    memoize_automaton,
     nfa_to_partial_dfa,
-    parallel_product,
     sequential_pair_automaton,
     to_dot,
     to_k_dfa,
@@ -52,7 +49,10 @@ def weighted_figure_automaton():
     table = {(P, "A"): f1, (P, "B"): f2, (Q, "A"): f2, (R, "B"): f3}
     final = {P: 5, Q: 2}
     return WordAutomaton(
-        INT_LIN, f1, delta_from_table(table, INT_LIN), lambda s: final.get(s, 0)
+        INT_LIN,
+        f1,
+        lambda sym, s: table.get((s, sym), INT_LIN.neutral),
+        lambda s: final.get(s, 0),
     )
 
 
@@ -141,7 +141,7 @@ class TestDeterminize:
         # the 2^40-state determinized automaton is never materialized; only
         # the configurations along the read words are computed
         n = 40
-        det = memoize_automaton(determinize(exponential_family(n)))
+        det = determinize(exponential_family(n))
         word = "A" * n
         assert det.config(word) == frozenset(range(n))
         after_b = det.config(word + "B" + word)
@@ -247,7 +247,7 @@ class TestProductsAndSums:
     def test_parallel_product_pairs_weights(self):
         afa = all_letters_afa("ab")
         counter = sequential_pair_automaton(lambda ch: ch in "aeiouy")
-        both = parallel_product(afa, counter)
+        both = ParallelAutomaton(afa, counter)
         reco, (count, sub) = both.weight("aabe")
         assert reco is True and count == 3 and sub == ("a", "a", "e")
         rng = random.Random(3)
@@ -279,17 +279,15 @@ class TestProductsAndSums:
 
     def test_hadamard_multiplies_weights(self):
         a = weighted_figure_automaton()
-        h = hadamard(a, a)
+        h = intersection(a, a)
         rng = random.Random(7)
         for _ in range(25):
             w = [rng.choice("AB") for _ in range(rng.randint(0, 6))]
             assert h.weight(w) == a.weight(w) * a.weight(w)
 
     def test_sum_weighted_adds_weights(self):
-        from automonad.automata import sum_weighted
-
         a = weighted_figure_automaton()
-        s = sum_weighted(a, a)
+        s = union(a, a)
         for w in ["", "A", "AB", "BA"]:
             assert s.weight(w) == 2 * a.weight(w)
 
@@ -674,7 +672,13 @@ class TestExploration:
 
     def test_memoization_counts_each_transition_once(self):
         counter = {}
-        auto = memoize_automaton(exponential_family(3), counter)
+        base = exponential_family(3)
+
+        def counting_delta(sym, q):
+            counter[(q, sym)] = counter.get((q, sym), 0) + 1
+            return base.delta(sym, q)
+
+        auto = WordAutomaton(FINITE_SET, base.initial, counting_delta, base.final).tabulated()
         auto.config("AAABAAA")
         auto.config("AAABAAA")
         assert counter and all(v == 1 for v in counter.values())

@@ -50,7 +50,6 @@ from automonad.wordexpr import (
     concat,
     delinearize,
     derivation_automaton,
-    derive_by_word,
     expr_to_text,
     glushkov_functions,
     inductive_automaton,
@@ -249,24 +248,13 @@ class TestDerivation:
         d = monadic_derive("a", neg(Sym("a")), BOOL_EXPR)
         assert d == BNot(BVar(EPSILON))
 
-    def test_derive_by_word_empty(self):
-        e = parse_expression("a.b")
-        assert derive_by_word("", e, FINITE_SET) == frozenset({e})
-
-    def test_derive_by_word_is_fold(self):
-        e = parse_expression("(a+b)*.a")
-        direct = derive_by_word("ab", e, FINITE_SET)
-        step = FINITE_SET.bind(
-            monadic_derive("a", e, FINITE_SET),
-            lambda d: monadic_derive("b", d, FINITE_SET),
-        )
-        assert direct == step
-
     def test_word_weight_through_derivatives(self):
         e = parse_expression("([3]:a+b).b*")
         auto = derivation_automaton(e, INT_LIN)
         for w in ["a", "ab", "b", "abb", ""]:
-            derived = derive_by_word(w, e, INT_LIN)
+            derived = INT_LIN.unit(e)
+            for sym in w:
+                derived = INT_LIN.bind(derived, lambda d, sym=sym: monadic_derive(sym, d, INT_LIN))
             total = INT_LIN.finality_step(derived, lambda d: nullable(d, INTEGERS))
             assert total == auto.weight(w)
 
