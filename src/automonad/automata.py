@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
-from .algebra import MonoidValue, product_monoid, INT_SUM, TUPLE_CONCAT
+from .algebra import product_monoid, INT_SUM, TUPLE_CONCAT
 from .containers import (
     BAnd,
     BTRUE,
@@ -25,7 +25,6 @@ from .containers import (
     FiniteSetContainer,
     OptionalContainer,
     bool_expr_to_clauses,
-    eval_bool_expr,
     monoid_pair,
     normalize_bool_expr,
     _bool_subst,
@@ -248,7 +247,7 @@ def explore(
     )
 
 
-def to_dot(result: ExplorationResult, name: str = "automaton") -> str:
+def to_dot(result: ExplorationResult) -> str:
     """Graphviz text for an explored automaton, deterministically ordered."""
     container = result.container
     ids, lines = _dot_states(result.states, result.finals, _accepting_node)
@@ -263,7 +262,7 @@ def to_dot(result: ExplorationResult, name: str = "automaton") -> str:
                 continue
             label = render(t.symbol) if w is True else f"{render(t.symbol)}/{render(w)}"
             edges.append(f'  {ids[t.source]} -> {ids[target]} [label="{label}"];')
-    return _dot_graph(name, "LR", lines + sorted(edges))
+    return _dot_graph("automaton", "LR", lines + sorted(edges))
 
 
 def _weighted_elements(container, value):
@@ -321,6 +320,12 @@ def _dot_graph(name: str, rankdir: str, body: list) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _weighed_by(auto) -> Callable:
+    """The final map of a construction whose states are configurations of
+    `auto`: each is weighed as `auto` weighs its own configurations."""
+    return lambda c: auto.container.finality_step(c, auto.final)
+
+
 def determinize(auto: WordAutomaton) -> WordAutomaton:
     """Subset construction of a finite-set automaton; the empty subset is an
     explicit sink.  The result is a complete deterministic automaton whose
@@ -333,10 +338,7 @@ def determinize(auto: WordAutomaton) -> WordAutomaton:
             out.update(auto.delta(sym, s))
         return frozenset(out)
 
-    def final(subset):
-        return any(bool(auto.final(s)) for s in subset)
-
-    return complete_dfa(auto.initial, delta, final)
+    return complete_dfa(auto.initial, delta, _weighed_by(auto))
 
 
 def complete(auto: WordAutomaton) -> WordAutomaton:
@@ -366,11 +368,8 @@ def nfa_to_partial_dfa(auto: WordAutomaton) -> WordAutomaton:
             out.update(auto.delta(sym, s))
         return frozenset(out) if out else None
 
-    def final(subset):
-        return any(bool(auto.final(s)) for s in subset)
-
     initial = auto.initial if auto.initial else None
-    return WordAutomaton(OPTIONAL, initial, delta, final)
+    return WordAutomaton(OPTIONAL, initial, delta, _weighed_by(auto))
 
 
 def afa_to_nfa(auto: WordAutomaton) -> WordAutomaton:
@@ -405,10 +404,7 @@ def afa_to_complete_dfa(auto: WordAutomaton) -> WordAutomaton:
     def delta(sym, expr):
         return normalize_bool_expr(_bool_subst(expr, lambda q: auto.delta(sym, q)))
 
-    def final(expr):
-        return eval_bool_expr(expr, env=lambda q: bool(auto.final(q)))
-
-    return complete_dfa(normalize_bool_expr(auto.initial), delta, final)
+    return complete_dfa(normalize_bool_expr(auto.initial), delta, _weighed_by(auto))
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +656,6 @@ def make_pda(
     initials: Sequence,
     initial_stack_symbol,
     trans: Callable,
-    finality: Callable = lambda _s: True,
     inner: EffectContainer = OPTIONAL,
 ) -> PushdownAutomaton:
     """Build a pushdown automaton.
@@ -682,10 +677,7 @@ def make_pda(
         moves = trans(sym, state, stack.top)
         return inner.map(lambda mv: (mv[1], _push(mv[0], stack.rest)), moves)
 
-    def final(config):
-        return bool(finality(config[0]))
-
-    return PushdownAutomaton(WordAutomaton(inner, initial, delta, final), z0)
+    return PushdownAutomaton(WordAutomaton(inner, initial, delta, lambda _config: True), z0)
 
 
 # ---------------------------------------------------------------------------
@@ -693,23 +685,15 @@ def make_pda(
 # ---------------------------------------------------------------------------
 
 
-def sequential_pair_automaton(
-    predicate: Callable[[Any], bool],
-    monoid: MonoidValue | None = None,
-    emit: Callable[[Any], Any] | None = None,
-) -> WordAutomaton:
+def sequential_pair_automaton(predicate: Callable[[Any], bool]) -> WordAutomaton:
     """Single-state sequential automaton computing (count, filtered subword)
-    over the product monoid; each matching symbol contributes (1, [symbol]).
-
-    `emit` maps a matching symbol to its monoid contribution and must agree
-    with `monoid` when both are supplied."""
-    m = monoid if monoid is not None else product_monoid(INT_SUM, TUPLE_CONCAT)
-    out = emit if emit is not None else (lambda sym: (1, (sym,)))
+    over the product monoid; each matching symbol contributes (1, [symbol])."""
+    m = product_monoid(INT_SUM, TUPLE_CONCAT)
     cont = monoid_pair(m)
 
     def delta(sym, state):
         if predicate(sym):
-            return cont.write(state, out(sym))
+            return cont.write(state, (1, (sym,)))
         return cont.write(state, m.neutral)
 
     return WordAutomaton(cont, cont.unit(UNIT), delta, lambda _s: m.neutral)

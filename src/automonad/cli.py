@@ -146,8 +146,8 @@ def cmd_random(args) -> int:
     return 0
 
 
-def _add_common(parser, kind_choices=("word", "tree")):
-    parser.add_argument("kind", choices=kind_choices)
+def _add_common(parser):
+    parser.add_argument("kind", choices=("word", "tree"))
     parser.add_argument("--alphabet", default=None, help="word letters or name/arity pairs")
     parser.add_argument("--seed", type=int, default=0)
 

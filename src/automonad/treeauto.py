@@ -26,6 +26,7 @@ from .automata import (
     _dot_starts,
     _dot_states,
     _memo,
+    _weighed_by,
 )
 from .util import UNIT, UnsupportedOperation, render
 
@@ -79,8 +80,8 @@ class BottomUpContainerTA:
     def weight(self, t: RankedTree, variables: tuple = ()):
         return self.container.finality_step(self.config(t, variables), self.final)
 
-    def recognizes(self, t: RankedTree, variables: tuple = ()) -> bool:
-        return bool(self.weight(t, variables))
+    def recognizes(self, t: RankedTree) -> bool:
+        return bool(self.weight(t))
 
     def tabulated(self) -> BottomUpContainerTA:
         """The same automaton over integer state ids.  Each row
@@ -133,10 +134,7 @@ def bu_determinize(auto: BottomUpContainerTA) -> BottomUpDetTA:
             out.update(auto.delta(symbol, states))
         return frozenset(out)
 
-    def final(subset):
-        return any(bool(auto.final(s)) for s in subset)
-
-    return BottomUpDetTA(None, _memo(delta), final)
+    return BottomUpDetTA(None, _memo(delta), _weighed_by(auto))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +146,9 @@ def bu_determinize(auto: BottomUpContainerTA) -> BottomUpDetTA:
 class TopDownContainerTA:
     """Top-down automaton: a state reading an n-ary symbol yields a container
     of n-tuples of states; `var_weight` pays a state's way out toward a
-    variable at a hole."""
+    variable at a hole.  The initial configuration, each transition and each
+    hole are weighed through the container's `finality_step`, so any
+    container that weighs a word weighs a tree."""
 
     container: EffectContainer
     initial: Any  # container of states
@@ -174,25 +174,23 @@ class TopDownContainerTA:
             else:
                 assert isinstance(tree, Node)
                 groups = _split_by_arity(vs, tree.children)
-                total = w.zero
-                for states, k in cont.weighted_elements(self.delta(tree.symbol, state)):
-                    prod = k
+
+                def children(states):
+                    prod = w.one
                     for child_state, child, g in zip(states, tree.children, groups):
                         prod = w.times(prod, go(child_state, child, g))
                         if prod == w.zero:
                             break
-                    total = w.plus(total, prod)
-                out = total
+                    return prod
+
+                out = cont.finality_step(self.delta(tree.symbol, state), children)
             memo[key] = out
             return out
 
-        total = w.zero
-        for state, k in cont.weighted_elements(self.initial):
-            total = w.plus(total, w.times(k, go(state, t, tuple(variables))))
-        return total
+        return cont.finality_step(self.initial, lambda state: go(state, t, tuple(variables)))
 
-    def recognizes(self, t: RankedTree, variables: tuple = ()) -> bool:
-        return bool(self.weight(t, variables))
+    def recognizes(self, t: RankedTree) -> bool:
+        return bool(self.weight(t))
 
     def tabulated(self) -> TopDownContainerTA:
         """The same automaton over integer state ids.  Each row `(symbol, id)`
@@ -418,7 +416,7 @@ def td_explore(
     return TreeExploration(states, transitions, truncated, finals)
 
 
-def td_to_dot(auto: TopDownContainerTA, result: TreeExploration, name: str = "treeautomaton") -> str:
+def td_to_dot(auto: TopDownContainerTA, result: TreeExploration) -> str:
     """DOT for a top-down automaton: fan nodes distribute a state over the
     child states of each transition.  Edges into states beyond a truncated
     exploration are left out."""
@@ -453,10 +451,10 @@ def td_to_dot(auto: TopDownContainerTA, result: TreeExploration, name: str = "tr
                 for i, child in enumerate(vect):
                     if child in ids:
                         edges.append(f'  {node} -> {ids[child]} [label="{i + 1}"];')
-    return _dot_graph(name, "TB", lines + edges)
+    return _dot_graph("treeautomaton", "TB", lines + edges)
 
 
-def tree_to_dot(result: TreeExploration, name: str = "treeautomaton") -> str:
+def tree_to_dot(result: TreeExploration) -> str:
     """DOT text; transitions of arity >= 2 are drawn through a fan node.
     Edges into states beyond a truncated exploration are left out."""
     ids, lines = _dot_states(result.states, result.finals, _accepting_node)
@@ -484,4 +482,4 @@ def tree_to_dot(result: TreeExploration, name: str = "treeautomaton") -> str:
                 edges.append(f'  {ids[s]} -> {node} [label="{i + 1}"];')
             for t in targets:
                 edges.append(f'  {node} -> {ids[t]} [label="{symbol.name}"];')
-    return _dot_graph(name, "BT", lines + edges)
+    return _dot_graph("treeautomaton", "BT", lines + edges)

@@ -222,23 +222,22 @@ def validate_words(
     instances: int = 100,
     probes: int = 100,
     seed: int = 0,
-    op_count: int = 5,
     alphabet: Sequence = ("a", "b", "c"),
-    max_len: int = 10,
     mutate: dict | None = None,
 ) -> ValidationReport:
-    """Cross-method word harness: boolean weights must agree across all
-    constructions, integer weights across all weighted ones."""
+    """Cross-method word harness over random expressions of 5 operators:
+    boolean weights must agree across all constructions, integer weights
+    across all weighted ones."""
     report = ValidationReport("word", seed, instances, probes)
     rng = random.Random(seed)
     for i in range(instances):
         simple = i % 2 == 0
         palette = wx.SIMPLE_OPS if simple else wx.SCALAR_OPS
-        e = wx.random_expression(0, op_count, alphabet, palette, rng=rng)
+        e = wx.random_expression(0, 5, alphabet, palette, rng=rng)
         text = wx.expr_to_text(e)
         builders = word_constructions(e, include_enriched=simple, mutate=mutate)
         _compare_probes(
-            report, i, text, builders, word_probes(e, rng, probes, alphabet, max_len),
+            report, i, text, builders, word_probes(e, rng, probes, alphabet),
             lambda w: "".join(str(s) for s in w),
         )
     return report
@@ -256,26 +255,27 @@ def random_probe_tree(rng: random.Random, alphabet, max_depth: int = 5):
     return grow(0)
 
 
-def sample_tree_from(e, rng: random.Random, container=FINITE_SET, max_depth: int = 6):
-    """Grow a tree accepted by the derivation automaton, top-down."""
+def sample_tree_from(e, rng: random.Random):
+    """Grow a tree accepted by the finite-set derivation automaton,
+    top-down; None past depth 6."""
     alphabet = sorted(
         {a.symbol for a in en.atoms_of(e)}, key=lambda s: (s.arity, s.name)
     )
 
     def grow(expr, depth):
-        if depth > max_depth:
+        if depth > 6:
             return None
         symbols = list(alphabet)
         rng.shuffle(symbols)
         for sym in symbols:
-            d = en.enriched_derive(sym, expr, container)
-            options = container.support(d)
+            d = en.enriched_derive(sym, expr, FINITE_SET)
+            options = FINITE_SET.support(d)
             if not options:
                 continue
             vect = rng.choice(sorted(options, key=render))
             children = []
             for sub in vect:
-                child = grow(en.aci_normalize(sub, container.weights), depth + 1)
+                child = grow(en.aci_normalize(sub, BOOLEANS), depth + 1)
                 if child is None:
                     break
                 children.append(child)
@@ -283,7 +283,7 @@ def sample_tree_from(e, rng: random.Random, container=FINITE_SET, max_depth: int
                 return Node(sym, tuple(children))
         return None
 
-    return grow(en.aci_normalize(e, container.weights), 0)
+    return grow(en.aci_normalize(e, BOOLEANS), 0)
 
 
 def tree_probes(e, rng: random.Random, count: int, alphabet, max_depth: int = 5):
@@ -305,20 +305,18 @@ def validate_trees(
     instances: int = 100,
     probes: int = 100,
     seed: int = 0,
-    size: int = 3,
     alphabet: Sequence[RankedSymbol] = en.DEFAULT_TREE_ALPHABET,
-    max_depth: int = 5,
     mutate: dict | None = None,
 ) -> ValidationReport:
-    """Cross-method tree harness: derivation-TD, position-TD and
-    inductive-BU must give equal weights."""
+    """Cross-method tree harness over random expressions of size 3:
+    derivation-TD, position-TD and inductive-BU must give equal weights."""
     report = ValidationReport("tree", seed, instances, probes)
     rng = random.Random(seed)
     for i in range(instances):
-        e = en.random_tree_expression(0, size, alphabet, rng=rng)
+        e = en.random_tree_expression(0, 3, alphabet, rng=rng)
         text = en.expression_to_text(e)
         builders = tree_constructions(e, mutate=mutate)
         _compare_probes(
-            report, i, text, builders, tree_probes(e, rng, probes, alphabet, max_depth), render
+            report, i, text, builders, tree_probes(e, rng, probes, alphabet), render
         )
     return report

@@ -7,13 +7,10 @@ import random
 import sys
 import time
 
-import pytest
-
 from automonad.algebra import (
     BOOLEANS,
     INT_PRODUCT,
     INTEGERS,
-    Node,
     RankedSymbol,
     enumerate_trees,
     parse_tree,
@@ -51,7 +48,7 @@ from automonad.treeauto import (
     bu_determinize,
     occurrence_automaton,
 )
-from automonad.util import UNIT, render
+from automonad.util import UNIT
 from automonad.validate import validate_trees, validate_words
 
 INT_LIN = lin_comb(INTEGERS)

@@ -9,7 +9,6 @@ from automonad.algebra import (
     INT_PRODUCT,
     INT_SUM,
     INTEGERS,
-    MonoidValue,
     Node,
     RankedSymbol,
     STR_CONCAT,

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from automonad.algebra import INT_SUM, INTEGERS, STR_CONCAT, product_monoid
 from automonad.containers import (
@@ -18,7 +18,6 @@ from automonad.containers import (
     GConst,
     GFun,
     GVar,
-    LinComb,
     OPTIONAL,
     bool_and,
     bool_expr_to_clauses,
@@ -108,7 +107,7 @@ class TestLawSuites:
         finals = [lambda x: x, lambda x: 2 * x - 3]
         assert check_container_laws(INT_LIN, list(range(4)), fs, finals=finals).ok
         report = check_container_laws(broken, list(range(4)), fs, finals=finals)
-        assert {law for law, _detail in report.failures} == {"finality-bind"}
+        assert set(report.failures) == {"finality-bind"}
 
     def test_stack_context_extensional(self):
         S = stack_context(FINITE_SET)
@@ -221,19 +220,34 @@ def _random_positive(rng, variables, budget):
     return BAnd((left, right)) if kind == "and" else BOr((left, right))
 
 
-class TestWeightCast:
+class TestFinalityStep:
     def test_set_of_unit(self):
-        assert FINITE_SET.weight_cast(frozenset({UNIT})) is True
-        assert FINITE_SET.weight_cast(frozenset()) is False
+        assert FINITE_SET.finality_step(frozenset({UNIT}), lambda _u: True) is True
+        assert FINITE_SET.finality_step(frozenset(), lambda _u: True) is False
 
     def test_lincomb_unit_coefficient(self):
-        assert INT_LIN.weight_cast(INT_LIN.from_entries([(UNIT, 7)])) == 7
-        assert INT_LIN.weight_cast(INT_LIN.neutral) == 0
+        assert INT_LIN.finality_step(INT_LIN.from_entries([(UNIT, 7)]), lambda _u: 1) == 7
+        assert INT_LIN.finality_step(INT_LIN.neutral, lambda _u: 1) == 0
 
-    def test_expression_casts_evaluate(self):
-        assert BOOL_EXPR.weight_cast(bool_and(BTRUE, BTRUE)) is True
+    def test_expression_steps_evaluate(self):
+        assert BOOL_EXPR.finality_step(bool_and(BTRUE, BTRUE), lambda _u: True) is True
         G = gen_expr(INTEGERS)
-        assert G.weight_cast(GFun("+", (GConst(2), GConst(3)), INTEGERS.plus)) == 5
+        sum_2_3 = GFun("+", (GConst(2), GConst(3)), INTEGERS.plus)
+        assert G.finality_step(sum_2_3, lambda _u: 1) == 5
+
+    def test_optional_absence_reads_no_final(self):
+        def unreachable(_x):
+            raise AssertionError("absence has no element to weigh")
+
+        assert OPTIONAL.finality_step(None, unreachable) is False
+        assert OPTIONAL.finality_step(3, lambda x: x > 2) is True
+        assert OPTIONAL.finality_step(3, lambda x: x > 5) is False
+        assert OPTIONAL.finality_step(0, lambda _x: 1) is True
+
+    def test_stack_context_is_weighed_by_stack_application(self):
+        S = stack_context(FINITE_SET)
+        with pytest.raises(UnsupportedOperation):
+            S.finality_step(S.unit(0), lambda _x: True)
 
 
 class TestRendering:

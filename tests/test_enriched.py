@@ -1,14 +1,12 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from automonad.algebra import BOOLEANS, INTEGERS, Node, RankedSymbol, enumerate_trees
+from automonad.algebra import BOOLEANS, INTEGERS, Node, enumerate_trees
 from automonad.containers import FINITE_SET, lin_comb
 from automonad.enriched import (
     DEFAULT_TREE_ALPHABET,
-    EEmpty,
     EStar,
     ESub,
     ESum,

@@ -15,11 +15,14 @@ from automonad.algebra import (
     parse_tree,
     subtrees,
 )
-from automonad.containers import DETERMINISTIC, FINITE_SET, lin_comb
+from automonad.containers import BOOL_EXPR, DETERMINISTIC, FINITE_SET, gen_expr, lin_comb
 from automonad.enriched import (
     DEFAULT_TREE_ALPHABET,
     parse_tree_expression,
+    random_tree_expression,
     tree_derivation_automaton,
+    tree_inductive_automaton,
+    tree_position_automaton,
 )
 from automonad.treeauto import (
     BottomUpContainerTA,
@@ -35,6 +38,7 @@ from automonad.treeauto import (
     tree_to_dot,
 )
 from automonad.util import UNIT, UnsupportedOperation, render
+from automonad.validate import tree_probes
 
 A = RankedSymbol("a", 0)
 B = RankedSymbol("b", 0)
@@ -196,6 +200,25 @@ class TestContainerAutomata:
         auto = BottomUpContainerTA(FINITE_SET, None, delta, lambda _s: True)
         t = parse_tree("g(a,b)", ALPHABET)
         assert auto.config(t) == frozenset(itertools.product((1, 2), repeat=2))
+
+    def test_expression_containers_weigh_every_construction(self):
+        # top-down automata weigh through `finality_step`, so alternating and
+        # generalized containers weigh trees as sets and linear combinations do
+        builders = (tree_position_automaton, tree_derivation_automaton, tree_inductive_automaton)
+        readings = [
+            (BOOL_EXPR, FINITE_SET, bool),
+            (gen_expr(INTEGERS), lin_comb(INTEGERS), lambda w: w),
+        ]
+        for seed in range(20):
+            e = random_tree_expression(seed, 3)
+            probes = tree_probes(e, random.Random(seed), 10, DEFAULT_TREE_ALPHABET)
+            for build in builders:
+                for container, reference, read in readings:
+                    auto, ref = build(e, container), build(e, reference)
+                    for t in probes:
+                        assert read(auto.weight(t)) == read(ref.weight(t)), (
+                            seed, build.__name__, repr(container), render(t)
+                        )
 
 
 SUBJECT = parse_tree("g(g(g(a,f(b)),h(g(a,f(b)))),g(a,f(b)))")

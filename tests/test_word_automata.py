@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from automonad.algebra import BOOLEANS, INTEGERS
+from automonad.algebra import INTEGERS
 from automonad.automata import (
-    ExplorationResult,
     ParallelAutomaton,
     WordAutomaton,
     afa_to_complete_dfa,
@@ -34,7 +33,7 @@ from automonad.containers import (
     bool_and,
     lin_comb,
 )
-from automonad.util import UNIT, render
+from automonad.util import render
 from test_tabulated import untabulated_weight
 
 INT_LIN = lin_comb(INTEGERS)

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -24,24 +23,20 @@ from automonad.containers import (
     monoid_pair,
     stack_context,
 )
-from automonad.util import UNIT, UnsupportedOperation, WeightError, render
+from automonad.util import UnsupportedOperation, WeightError, render
 from automonad.wordexpr import (
     BOOLEAN_OPS,
     EPSILON,
     EMPTY,
-    Concat,
     Epsilon,
     FunctionOp,
     GlushkovInit,
     Inter,
-    MultL,
     Not,
     Op,
-    Plus,
     PosSym,
     SCALAR_OPS,
     SIMPLE_OPS,
-    Star,
     Sym,
     aci_normalize,
     brute_force_language,
