@@ -181,8 +181,8 @@ class ExplorationResult:
     states: list
     transitions: list[TransitionRecord]
     truncated: bool
-    initial: Any = None
-    container: EffectContainer | None = None
+    initial: Any
+    container: EffectContainer
     finals: dict = field(default_factory=dict)
 
     def dump(self) -> str:
@@ -251,27 +251,21 @@ def to_dot(result: ExplorationResult) -> str:
     """Graphviz text for an explored automaton, deterministically ordered."""
     container = result.container
     ids, lines = _dot_states(result.states, result.finals, _accepting_node)
-    if container is not None and result.initial is not None:
-        lines += _dot_starts(ids, _weighted_elements(container, result.initial))
+    lines += _dot_starts(ids, container, result.initial)
     edges = []
     for t in result.transitions:
         if t.source not in ids:
             continue
-        for target, w in _weighted_elements(container, t.target):
-            if target not in ids:
-                continue
-            label = render(t.symbol) if w is True else f"{render(t.symbol)}/{render(w)}"
-            edges.append(f'  {ids[t.source]} -> {ids[target]} [label="{label}"];')
+        for target in container.support(t.target):
+            if target in ids:
+                label = _dot_label(render(t.symbol), container.element_weight(t.target, target))
+                edges.append(f'  {ids[t.source]} -> {ids[target]} [label="{label}"];')
     return _dot_graph("automaton", "LR", lines + sorted(edges))
 
 
-def _weighted_elements(container, value):
-    """Weighted elements of `value`, or its support weighted `True` for
-    containers that expose no element weights."""
-    try:
-        return container.weighted_elements(value)
-    except UnsupportedOperation:
-        return [(s, True) for s in container.support(value)]
+def _dot_label(symbol: str, w) -> str:
+    """An edge label: the symbol, and its weight unless that is `True`."""
+    return symbol if w is True else f"{symbol}/{render(w)}"
 
 
 def _accepting_node(w):
@@ -295,14 +289,15 @@ def _dot_states(states, finals: dict, decorate: Callable):
     return ids, lines
 
 
-def _dot_starts(ids: dict, entries) -> list:
+def _dot_starts(ids: dict, container: EffectContainer, initial) -> list:
     """Entry arrows from point nodes to the initial states in `ids`, labelled
     with their initial weight unless it is `True`."""
     lines = []
-    for i, (s, w) in enumerate(entries):
+    for i, s in enumerate(container.support(initial)):
         if s not in ids:
             continue
         lines.append(f'  __start{i} [shape=point, label=""];')
+        w = container.element_weight(initial, s)
         label = "" if w is True else render(w).replace('"', "'")
         attr = f' [label="{label}"]' if label else ""
         lines.append(f"  __start{i} -> {ids[s]}{attr};")

@@ -3,15 +3,15 @@ harnesses, generate random expressions.
 
 Exit codes: 0 success (validate: all pass), 1 validation failure, 2 parse
 error (expressions, trees and alphabets), 3 unsupported method/weights
-combination, 4 exploration cap exceeded, 5 undefined weight (e.g. the star
-of a nullable expression over the integers).
+combination (word `inductive` under `boolexpr` or `genexpr`) or expression
+(`~a` for `positions`), 4 exploration cap exceeded, 5 undefined weight (e.g.
+the star of a nullable expression over the integers).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 
 from . import enriched as en
 from . import wordexpr as wx
@@ -74,7 +74,7 @@ def _explored(auto, alphabet, caps: int):
     if isinstance(auto, WordAutomaton):
         result, dot = explore(auto, alphabet, max_states=caps), to_dot
     elif isinstance(auto, TopDownContainerTA):
-        result, dot = td_explore(auto, alphabet, max_states=caps), partial(td_to_dot, auto)
+        result, dot = td_explore(auto, alphabet, max_states=caps), td_to_dot
     else:
         result, dot = tree_explore(auto, alphabet, max_states=caps), tree_to_dot
     if result.truncated:

@@ -467,13 +467,13 @@ def _read_root_first(td: TopDownContainerTA) -> WordAutomaton:
     """A top-down tree automaton read along unary trees, root first: each
     step keeps the one child state, and a state's final weight is what it
     pays toward the unit variable."""
-    c, w = td.container, td.container.weights
+    c = td.container
 
     def delta(x, state):
         return c.map(lambda vect: vect[0], td.delta(x, state))
 
     def final(state):
-        return c.finality_step(td.var_weight(state), lambda u: w.one if u == UNIT else w.zero)
+        return c.element_weight(td.var_weight(state), UNIT)
 
     return WordAutomaton(c, td.initial, delta, final)
 

@@ -23,6 +23,7 @@ from .automata import (
     _accepting_node,
     _breadth_first,
     _dot_graph,
+    _dot_label,
     _dot_starts,
     _dot_states,
     _memo,
@@ -167,10 +168,7 @@ class TopDownContainerTA:
             if key in memo:
                 return memo[key]
             if tree is HOLE:
-                var = vs[0]
-                out = cont.finality_step(
-                    self.var_weight(state), lambda u: w.one if u == var else w.zero
-                )
+                out = cont.element_weight(self.var_weight(state), vs[0])
             else:
                 assert isinstance(tree, Node)
                 groups = _split_by_arity(vs, tree.children)
@@ -341,16 +339,18 @@ def _compose(op: WeightFun, funs: list[WeightFun], arities: list[int], total: in
 @dataclass
 class TreeExploration:
     states: list
-    # (source tuple, symbol, target states, rendered target, container value)
+    # (source tuple, symbol, rendered target, container value)
     transitions: list
     truncated: bool
+    container: EffectContainer
     # state -> final weight (bottom-up) or variable-weight value (top-down)
     finals: dict = field(default_factory=dict)
+    initial: Any = None  # the initial configuration of a top-down automaton
 
     def dump(self) -> str:
         lines = [
             f"({','.join(render(s) for s in src)}) --{sym.name}--> {rendered}"
-            for src, sym, _targets, rendered, _value in self.transitions
+            for src, sym, rendered, _value in self.transitions
         ]
         return "\n".join(sorted(lines))
 
@@ -369,9 +369,8 @@ def tree_explore(
 
     def fire(symbol, combo):
         value = auto.delta(symbol, combo)
-        targets = cont.support(value)
-        transitions.append((combo, symbol, targets, render(value), value))
-        return targets
+        transitions.append((combo, symbol, render(value), value))
+        return cont.support(value)
 
     def successors(state):
         earlier = list(expanded)
@@ -390,7 +389,7 @@ def tree_explore(
     reached, truncated = _breadth_first(leaves, successors, max_states)
     states = sorted(reached, key=render)
     finals = {s: auto.final(s) for s in states}
-    return TreeExploration(states, transitions, truncated, finals)
+    return TreeExploration(states, transitions, truncated, cont, finals)
 
 
 def td_explore(
@@ -406,21 +405,20 @@ def td_explore(
     def successors(state):
         for symbol in alphabet:
             value = auto.delta(symbol, state)
-            targets = [t for vect in cont.support(value) for t in vect]
-            transitions.append(((state,), symbol, targets, render(value), value))
-            yield from targets
+            transitions.append(((state,), symbol, render(value), value))
+            yield from (t for vect in cont.support(value) for t in vect)
 
     reached, truncated = _breadth_first(cont.support(auto.initial), successors, max_states)
     states = sorted(reached, key=render)
     finals = {s: auto.var_weight(s) for s in states}
-    return TreeExploration(states, transitions, truncated, finals)
+    return TreeExploration(states, transitions, truncated, cont, finals, auto.initial)
 
 
-def td_to_dot(auto: TopDownContainerTA, result: TreeExploration) -> str:
+def td_to_dot(result: TreeExploration) -> str:
     """DOT for a top-down automaton: fan nodes distribute a state over the
     child states of each transition.  Edges into states beyond a truncated
     exploration are left out."""
-    cont = auto.container
+    cont = result.container
     neutral = cont.neutral
 
     def var_weight_node(var_w):
@@ -428,14 +426,12 @@ def td_to_dot(auto: TopDownContainerTA, result: TreeExploration) -> str:
         return None, "" if var_w == neutral else render(var_w)
 
     ids, lines = _dot_states(result.states, result.finals, var_weight_node)
-    lines += _dot_starts(ids, cont.weighted_elements(auto.initial))
+    lines += _dot_starts(ids, cont, result.initial)
     fan = 0
     edges = []
-    for (src,), symbol, _targets, _rendered, value in sorted(
-        result.transitions, key=lambda t: (render(t[0]), t[1].name, t[3])
-    ):
-        for vect, w in cont.weighted_elements(value):
-            label = symbol.name if w is True else f"{symbol.name}/{render(w)}"
+    for (src,), symbol, _rendered, value in sorted(result.transitions, key=_dot_order):
+        for vect in cont.support(value):
+            label = _dot_label(symbol.name, cont.element_weight(value, vect))
             if len(vect) == 0:
                 edges.append(f'  __acc{fan} [shape=point, label=""];')
                 edges.append(f'  {ids[src]} -> __acc{fan} [label="{label}"];')
@@ -457,29 +453,36 @@ def td_to_dot(auto: TopDownContainerTA, result: TreeExploration) -> str:
 def tree_to_dot(result: TreeExploration) -> str:
     """DOT text; transitions of arity >= 2 are drawn through a fan node.
     Edges into states beyond a truncated exploration are left out."""
+    cont = result.container
     ids, lines = _dot_states(result.states, result.finals, _accepting_node)
     edges = []
     fan = 0
-    for src, symbol, targets, _rendered, _value in sorted(
-        result.transitions, key=lambda t: (render(t[0]), t[1].name, t[3])
-    ):
-        targets = [t for t in targets if t in ids]
+    for src, symbol, _rendered, value in sorted(result.transitions, key=_dot_order):
+        targets = [
+            (ids[t], _dot_label(symbol.name, cont.element_weight(value, t)))
+            for t in cont.support(value)
+            if t in ids
+        ]
         if symbol.arity == 0:
-            for t in targets:
+            for t, label in targets:
                 edges.append(f'  __leaf{fan} [shape=point, label=""];')
-                edges.append(f'  __leaf{fan} -> {ids[t]} [label="{symbol.name}"];')
+                edges.append(f'  __leaf{fan} -> {t} [label="{label}"];')
                 fan += 1
         elif symbol.arity == 1:
-            for t in targets:
-                edges.append(
-                    f'  {ids[src[0]]} -> {ids[t]} [label="{symbol.name}"];'
-                )
+            for t, label in targets:
+                edges.append(f'  {ids[src[0]]} -> {t} [label="{label}"];')
         else:
             node = f"t{fan}"
             fan += 1
             edges.append(f'  {node} [shape=point, label=""];')
             for i, s in enumerate(src):
                 edges.append(f'  {ids[s]} -> {node} [label="{i + 1}"];')
-            for t in targets:
-                edges.append(f'  {node} -> {ids[t]} [label="{symbol.name}"];')
+            for t, label in targets:
+                edges.append(f'  {node} -> {t} [label="{label}"];')
     return _dot_graph("treeautomaton", "BT", lines + edges)
+
+
+def _dot_order(transition):
+    """Sort key of an explored tree transition: source, symbol, target."""
+    src, symbol, rendered, _value = transition
+    return render(src), symbol.name, rendered

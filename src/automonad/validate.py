@@ -43,14 +43,14 @@ CONSTRUCTIONS = {
     ("word", "positions"): (lambda e, c: wx.position_automaton(e, c), ANY),
     ("word", "derivation"): (lambda e, c: wx.derivation_automaton(e, c), ANY),
     ("word", "inductive"): (lambda e, c: wx.inductive_automaton(e, c), BOOL_INT),
-    ("enriched", "positions-rev"): (lambda e, c: en.word_position_automaton(e, c, "reversed"), BOOL_INT),
-    ("enriched", "positions-fwd"): (lambda e, c: en.word_position_automaton(e, c, "forward"), BOOL_INT),
-    ("enriched", "derivation-right"): (lambda e, c: en.word_derivation_automaton(e, c, "reversed"), BOOL_INT),
-    ("enriched", "derivation-left"): (lambda e, c: en.word_derivation_automaton(e, c, "forward"), BOOL_INT),
+    ("enriched", "positions-rev"): (lambda e, c: en.word_position_automaton(e, c, "reversed"), ANY),
+    ("enriched", "positions-fwd"): (lambda e, c: en.word_position_automaton(e, c, "forward"), ANY),
+    ("enriched", "derivation-right"): (lambda e, c: en.word_derivation_automaton(e, c, "reversed"), ANY),
+    ("enriched", "derivation-left"): (lambda e, c: en.word_derivation_automaton(e, c, "forward"), ANY),
     ("enriched", "inductive-enriched"): (lambda e, c: en.word_inductive_automaton(e, c), ("int",)),
-    ("tree", "positions"): (lambda e, c: en.tree_position_automaton(e, c), BOOL_INT),
-    ("tree", "derivation"): (lambda e, c: en.tree_derivation_automaton(e, c), BOOL_INT),
-    ("tree", "inductive"): (lambda e, c: en.tree_inductive_automaton(e, c), BOOL_INT),
+    ("tree", "positions"): (lambda e, c: en.tree_position_automaton(e, c), ANY),
+    ("tree", "derivation"): (lambda e, c: en.tree_derivation_automaton(e, c), ANY),
+    ("tree", "inductive"): (lambda e, c: en.tree_inductive_automaton(e, c), ANY),
     ("pattern", "occurrence"): (lambda t, _c: ta.occurrence_automaton(t), ANY),
 }
 

@@ -638,8 +638,8 @@ def collapse_to_expression(container: EffectContainer, c) -> WordExpression:
     """Contract a container of expressions to a single expression.
 
     Boolean and function expression trees are read back node by node; any
-    other container is the sum of its weighted elements, each scaled by its
-    weight unless that is one (so absence is the empty expression)."""
+    other container is the sum of its elements, each scaled by its
+    `element_weight` unless that is one (so absence is the empty expression)."""
     if isinstance(container, BoolExprContainer):
         def go(node):
             if isinstance(node, BVar):
@@ -687,7 +687,8 @@ def collapse_to_expression(container: EffectContainer, c) -> WordExpression:
 
         return gog(c)
     one = container.weights.one
-    return _sum_of([x if k == one else mult_l(k, x) for x, k in container.weighted_elements(c)])
+    weighted = [(x, container.element_weight(c, x)) for x in container.support(c)]
+    return _sum_of([x if k == one else mult_l(k, x) for x, k in weighted])
 
 
 def _fix_arguments(fn, fixed):

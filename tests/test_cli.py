@@ -9,7 +9,6 @@ from automonad.algebra import INTEGERS
 from automonad.cli import (
     EXIT_CAPS,
     EXIT_PARSE,
-    EXIT_UNSUPPORTED,
     EXIT_WEIGHT,
     build_parser,
     main,
@@ -50,6 +49,47 @@ class TestBuild:
     def test_tree_build_dot(self, capsys):
         assert main(["build", "tree", "--method", "derivation", "--random", "3", "2"]) == 0
         assert "digraph" in capsys.readouterr().out
+
+    def test_word_int_dot_golden(self, capsys):
+        assert main(["build", "word", "--method", "derivation", "--weights", "int", "[2]:a*.b+a"]) == 0
+        assert capsys.readouterr().out == (
+            "expression: [2]:a*.b+a\n"
+            "digraph automaton {\n"
+            "  rankdir=LR;\n"
+            "  node [shape=circle];\n"
+            '  q0 [shape=doublecircle, label="1 | 1"];\n'
+            '  q1 [shape=circle, label="1.a*.b"];\n'
+            '  q2 [shape=circle, label="[2]:a*.b+a"];\n'
+            '  __start0 [shape=point, label=""];\n'
+            '  __start0 -> q2 [label="1"];\n'
+            '  q1 -> q0 [label="b/1"];\n'
+            '  q1 -> q1 [label="a/1"];\n'
+            '  q2 -> q0 [label="a/1"];\n'
+            '  q2 -> q0 [label="b/2"];\n'
+            '  q2 -> q1 [label="a/2"];\n'
+            "}\n"
+        )
+
+    def test_top_down_tree_int_dot_golden(self, capsys):
+        argv = ["build", "tree", "--method", "derivation", "--weights", "int"]
+        assert main(argv + ["(@a + @a) .() @g((),())"]) == 0
+        assert capsys.readouterr().out == (
+            "expression: ((@a + @a) .() @g((),()))\n"
+            "digraph treeautomaton {\n"
+            "  rankdir=TB;\n"
+            "  node [shape=circle];\n"
+            '  q0 [label="((@a+@a).() @g((),()))"];\n'
+            '  q1 [label="@a"];\n'
+            '  __start0 [shape=point, label=""];\n'
+            '  __start0 -> q0 [label="1"];\n'
+            '  t0 [shape=point, label=""];\n'
+            '  q0 -> t0 [label="g/4"];\n'
+            '  t0 -> q1 [label="1"];\n'
+            '  t0 -> q1 [label="2"];\n'
+            '  __acc1 [shape=point, label=""];\n'
+            '  q1 -> __acc1 [label="a/1"];\n'
+            "}\n"
+        )
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["build", "word", "a+)"]) == 2
@@ -100,13 +140,17 @@ class TestWeight:
         assert main(argv) == 0
         assert capsys.readouterr().out.strip() == expected
 
-    @pytest.mark.parametrize("command", ["build", "weight"])
-    @pytest.mark.parametrize("weights", ["boolexpr", "genexpr"])
-    def test_tree_weights_checked_by_both_subcommands(self, command, weights, capsys):
-        argv = [command, "tree", "@a .() @f(())", "--weights", weights]
-        if command == "weight":
-            argv.insert(3, "f(a)")
-        assert main(argv) == EXIT_UNSUPPORTED
+    @pytest.mark.parametrize("method", ["positions", "derivation", "inductive"])
+    def test_tree_weights_agree_across_containers(self, method, capsys):
+        # the boolexpr truth is the bool result, the genexpr value the int one
+        for seed in range(8):
+            for tree in ("a", "f(a)", "g(a,b)", "h(g(f(a),c))"):
+                argv = ["weight", "tree", "--random", str(seed), "3", tree, "--method", method]
+                out = {}
+                for weights in WEIGHTS:
+                    assert main(argv + ["--weights", weights]) == 0
+                    out[weights] = capsys.readouterr().out
+                assert out["boolexpr"] == out["bool"] and out["genexpr"] == out["int"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -125,6 +169,25 @@ class TestWeight:
         argv = ["weight", "word", "(a+b)*.a.b.(a+b)*", "ab" * 2000, "--method", method]
         assert main(argv + ["--weights", weights]) == 0
         assert capsys.readouterr().out.strip() == expected
+
+
+DOT_BUILDS = [("word", "12", m) for m in ("positions", "derivation")] + [
+    ("tree", "8", m) for m in ("positions", "derivation", "inductive")
+]
+
+
+@pytest.mark.parametrize("kind, size, method", DOT_BUILDS)
+def test_dot_agrees_across_containers(kind, size, method, capsys):
+    # one construction draws the same automaton under every container: the
+    # expression containers' DOT is byte-identical to bool's and int's
+    for seed in range(4):
+        argv = ["build", kind, "--random", str(seed), size, "--method", method, "--caps", "200"]
+        out = {}
+        for weights in WEIGHTS:
+            code = main(argv + ["--weights", weights])
+            out[weights] = code, capsys.readouterr()
+        assert {code for code, _ in out.values()} == {0}
+        assert out["boolexpr"] == out["bool"] and out["genexpr"] == out["int"]
 
 
 BAD_ALPHABETS = [

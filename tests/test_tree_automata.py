@@ -407,6 +407,16 @@ class TestExploration:
         assert "t" in dot  # fan node for the binary symbol
         assert 'label="g"' in dot
 
+    def test_bottom_up_dot_labels_transition_weights(self):
+        ints = lin_comb(INTEGERS)
+
+        def delta(sym, states):
+            return ints.act_left(2, ints.unit(sym.name)) if sym == A else ints.unit("q")
+
+        dot = tree_to_dot(tree_explore(BottomUpContainerTA(ints, None, delta, bool), [A, F]))
+        assert '__leaf0 -> q0 [label="a/2"];' in dot
+        assert 'q0 -> q1 [label="f/1"];' in dot
+
     def test_td_explore_occurrence(self):
         occ = occurrence_automaton(parse_tree("g(a,b)"))
         result = td_explore(occ, ALPHABET)
@@ -423,7 +433,7 @@ class TestExploration:
 
         auto = dataclasses.replace(occ, delta=counting_delta)
         result = td_explore(auto, ALPHABET)
-        dot = td_to_dot(auto, result)
+        dot = td_to_dot(result)
         assert len(calls) == len(set(calls)) == 3 * len(ALPHABET)
         assert 'label="g' in dot
 
@@ -438,7 +448,7 @@ class TestExploration:
         auto = TopDownContainerTA(cont, cont.unit("p"), delta, var_weights.get)
         result = td_explore(auto, ALPHABET)
         assert result.finals == var_weights
-        dot = td_to_dot(auto, result)
+        dot = td_to_dot(result)
         assert 'q0 [label="p"];' in dot
         assert f'q1 [label="q | {render(var_weights["q"])}"];' in dot
 
@@ -447,7 +457,7 @@ class TestExploration:
         auto = tree_derivation_automaton(e, FINITE_SET)
         result = td_explore(auto, DEFAULT_TREE_ALPHABET, max_states=1)
         assert result.truncated
-        _assert_names_only_kept_states(td_to_dot(auto, result), result)
+        _assert_names_only_kept_states(td_to_dot(result), result)
 
 
 def _assert_names_only_kept_states(dot, result):

@@ -708,6 +708,21 @@ class TestExploration:
         d2 = to_dot(explore(det, "AB"))
         assert d1 == d2
 
+    def test_sequential_pair_dot_golden(self):
+        # the one element of a monoid pair pays the pair's output
+        dot = to_dot(explore(sequential_pair_automaton(lambda c: c in "ae"), "ab"))
+        assert dot == (
+            "digraph automaton {\n"
+            "  rankdir=LR;\n"
+            "  node [shape=circle];\n"
+            '  q0 [shape=doublecircle, label="() | (0,())"];\n'
+            '  __start0 [shape=point, label=""];\n'
+            '  __start0 -> q0 [label="(0,())"];\n'
+            '  q0 -> q0 [label="a/(1,(a))"];\n'
+            '  q0 -> q0 [label="b/(0,())"];\n'
+            "}\n"
+        )
+
     def test_dump_format(self):
         result = explore(mod_dfa(2), "a")
         dump = result.dump()
