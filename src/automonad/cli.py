@@ -2,9 +2,10 @@
 harnesses, generate random expressions.
 
 Exit codes: 0 success (validate: all pass), 1 validation failure, 2 parse
-error (expressions, trees and alphabets), 3 unsupported method/weights
-combination (word `inductive` under `boolexpr` or `genexpr`) or expression
-(`~a` for `positions`), 4 exploration cap exceeded, 5 undefined weight (e.g.
+error (expressions, trees and alphabets), 3 unsupported: an expression
+without a reading in the method (`~a` for `positions`, `~` for `inductive`
+under `boolexpr` or `genexpr`) or a method of another kind (`weight word
+--method occurrence`), 4 exploration cap exceeded, 5 undefined weight (e.g.
 the star of a nullable expression over the integers).
 """
 
@@ -61,13 +62,6 @@ def _expression(args):
     return en.parse_tree_expression(args.expression, args.alphabet)
 
 
-def _construct(kind: str, args, e):
-    auto = construct(kind, args.method, args.weights, e)
-    if auto is None:
-        raise UnsupportedOperation(f"{args.method} does not support this expression")
-    return auto
-
-
 def _explored(auto, alphabet, caps: int):
     """Explore `auto` with the explorer of its type; returns the result and
     its DOT writer, or raises CapExceeded when the state cap bites."""
@@ -86,7 +80,8 @@ def cmd_build(args) -> int:
     if args.caps < 0:
         raise ExprSyntaxError("--caps must not be negative", 0)
     e = _expression(args)
-    result, dot = _explored(_construct(args.kind, args, e), args.alphabet, args.caps)
+    auto = construct(args.kind, args.method, args.weights, e)
+    result, dot = _explored(auto, args.alphabet, args.caps)
     text = wx.expr_to_text(e) if args.kind == "word" else en.expression_to_text(e)
     print(f"expression: {text}")
     if args.format == "dot":
@@ -104,9 +99,9 @@ def cmd_weight(args) -> int:
         subject = parse_tree(args.expression, args.alphabet)
         if subject.arity():
             raise ExprSyntaxError("the subject tree must have no holes", 0)
-        auto = _construct("pattern", args, subject)
+        auto = construct("pattern", args.method, args.weights, subject)
     else:
-        auto = _construct(args.kind, args, _expression(args))
+        auto = construct(args.kind, args.method, args.weights, _expression(args))
     if args.kind == "word":
         print(render(auto.weight(args.input)))
     else:

@@ -344,9 +344,9 @@ def weighted_sum_decomposition(e: EnrichedExpression, weights: StarSemiring) -> 
     return sorted(counted.items(), key=lambda kv: render(kv[0]))
 
 
-def linearize(e: EnrichedExpression, start: int = 1) -> EnrichedExpression:
+def linearize(e: EnrichedExpression) -> EnrichedExpression:
     """Index the symbol side of every atom; variables stay untouched."""
-    counter = start
+    counter = 1
 
     def go(node):
         nonlocal counter
@@ -363,18 +363,6 @@ def linearize(e: EnrichedExpression, start: int = 1) -> EnrichedExpression:
         return node
 
     return go(e)
-
-
-def delinearize(e: EnrichedExpression) -> EnrichedExpression:
-    if isinstance(e, ETensor) and isinstance(e.atom.symbol, PosSym):
-        return ETensor(replace(e.atom, symbol=e.atom.symbol.base))
-    if isinstance(e, ESum):
-        return ESum(delinearize(e.left), delinearize(e.right))
-    if isinstance(e, ESub):
-        return ESub(e.var, delinearize(e.left), delinearize(e.right))
-    if isinstance(e, EStar):
-        return EStar(e.var, delinearize(e.body))
-    return e
 
 
 def atoms_of(e: EnrichedExpression) -> list:

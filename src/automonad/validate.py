@@ -26,23 +26,24 @@ INT_LIN = lin_comb(INTEGERS)
 WEIGHTS = {
     "bool": (FINITE_SET, bool),
     "int": (INT_LIN, None),
-    "boolexpr": (BOOL_EXPR, None),
+    "boolexpr": (BOOL_EXPR, bool),
     "genexpr": (gen_expr(INTEGERS), None),
 }
 ANY, BOOL_INT = tuple(WEIGHTS), ("bool", "int")
 
 # The construction registry: (kind, method) -> (builder, the --weights names
 # it is built under).  `builder(expression, container)` returns an automaton,
-# or None when the expression has no reading in the construction.  "word" and
-# "tree" builders read word and tree expressions; "enriched" ones read a word
-# expression lifted by `en.from_word_expression` (the word harness compares
-# them with the "word" ones); "pattern" ones read a subject tree and count in
-# the integers under any weights.  Each lambda looks its builder up when
-# called, so a module attribute patched at runtime is the one that runs.
+# or raises UnsupportedOperation at an operator without a reading in the
+# construction.  "word" and "tree" builders read word and tree expressions;
+# "enriched" ones read a word expression lifted by `en.from_word_expression`
+# (the word harness compares them with the "word" ones); "pattern" ones read
+# a subject tree and count in the integers under any weights.  Each lambda
+# looks its builder up when called, so a module attribute patched at runtime
+# is the one that runs.
 CONSTRUCTIONS = {
     ("word", "positions"): (lambda e, c: wx.position_automaton(e, c), ANY),
     ("word", "derivation"): (lambda e, c: wx.derivation_automaton(e, c), ANY),
-    ("word", "inductive"): (lambda e, c: wx.inductive_automaton(e, c), BOOL_INT),
+    ("word", "inductive"): (lambda e, c: wx.inductive_automaton(e, c), ANY),
     ("enriched", "positions-rev"): (lambda e, c: en.word_position_automaton(e, c, "reversed"), ANY),
     ("enriched", "positions-fwd"): (lambda e, c: en.word_position_automaton(e, c, "forward"), ANY),
     ("enriched", "derivation-right"): (lambda e, c: en.word_derivation_automaton(e, c, "reversed"), ANY),
@@ -62,9 +63,10 @@ def methods(*kinds) -> list:
 
 def construct(kind: str, method: str, weights: str, e):
     """The automaton of construction (kind, method) for `e` under the
-    --weights name `weights`, or None when `e` has no reading in it.
+    --weights name `weights`.
 
-    Raises UnsupportedOperation for a pair the registry does not hold."""
+    Raises UnsupportedOperation for a pair the registry does not hold, or
+    when `e` has no reading in the construction."""
     try:
         builder, accepted = CONSTRUCTIONS[(kind, method)]
     except KeyError:
@@ -199,11 +201,8 @@ def _constructions(kind, e, mutate: dict | None) -> dict:
         for (k, method), (_builder, accepted) in CONSTRUCTIONS.items():
             if k != kind or weights not in accepted:
                 continue
-            auto = construct(kind, method, weights, e)
-            if auto is None:
-                continue
             name = f"{method}/{weights}"
-            fn = auto.tabulated().weight
+            fn = construct(kind, method, weights, e).tabulated().weight
             if mutate and name in mutate:
                 fn = mutate[name](fn)
             builders[name] = fn

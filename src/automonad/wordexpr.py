@@ -38,7 +38,6 @@ from .containers import (
     GFun,
     GVar,
     GenExprContainer,
-    LinCombContainer,
 )
 from .util import Scanner, UnsupportedOperation, render
 
@@ -418,9 +417,9 @@ def symbols_of(e: WordExpression) -> list:
     return out
 
 
-def linearize(e: WordExpression, start: int = 1) -> WordExpression:
+def linearize(e: WordExpression) -> WordExpression:
     """Index symbol occurrences 1..n in left-to-right leaf order."""
-    counter = start
+    counter = 1
 
     def go(node):
         nonlocal counter
@@ -428,17 +427,6 @@ def linearize(e: WordExpression, start: int = 1) -> WordExpression:
             out = Sym(PosSym(counter, node.symbol))
             counter += 1
             return out
-        if isinstance(node, Op):
-            return Op(node.operator, tuple(go(x) for x in node.operands))
-        return node
-
-    return go(e)
-
-
-def delinearize(e: WordExpression) -> WordExpression:
-    def go(node):
-        if isinstance(node, Sym):
-            return Sym(node.symbol.base)
         if isinstance(node, Op):
             return Op(node.operator, tuple(go(x) for x in node.operands))
         return node
@@ -491,14 +479,14 @@ class GlushkovData:
     follow: Callable[[Any], Any]  # position -> container of positions
 
 
-def glushkov_functions(e: WordExpression, container: EffectContainer) -> GlushkovData | None:
+def glushkov_functions(e: WordExpression, container: EffectContainer) -> GlushkovData:
     """Inductive Null/Pos/First/Last/Follow over the chosen container.
 
-    Returns None for operators without a positional reading (negation,
-    intersection, custom functions)."""
+    Raises UnsupportedOperation for operators without a positional reading
+    (negation, intersection, custom functions)."""
     w = container.weights
 
-    def go(node) -> GlushkovData | None:
+    def go(node) -> GlushkovData:
         if isinstance(node, Epsilon):
             return GlushkovData(w.one, frozenset(), container.neutral, lambda _c: w.zero, lambda _c: container.neutral)
         if isinstance(node, Empty):
@@ -515,8 +503,6 @@ def glushkov_functions(e: WordExpression, container: EffectContainer) -> Glushko
         op = node.operator
         if isinstance(op, Plus):
             g1, g2 = go(node.operands[0]), go(node.operands[1])
-            if g1 is None or g2 is None:
-                return None
             return GlushkovData(
                 w.plus(g1.null, g2.null),
                 g1.positions | g2.positions,
@@ -526,8 +512,6 @@ def glushkov_functions(e: WordExpression, container: EffectContainer) -> Glushko
             )
         if isinstance(op, Concat):
             g1, g2 = go(node.operands[0]), go(node.operands[1])
-            if g1 is None or g2 is None:
-                return None
             return GlushkovData(
                 w.times(g1.null, g2.null),
                 g1.positions | g2.positions,
@@ -542,8 +526,6 @@ def glushkov_functions(e: WordExpression, container: EffectContainer) -> Glushko
             )
         if isinstance(op, Star):
             g1 = go(node.operands[0])
-            if g1 is None:
-                return None
             star_eps = w.star(g1.null)
             return GlushkovData(
                 star_eps,
@@ -557,8 +539,6 @@ def glushkov_functions(e: WordExpression, container: EffectContainer) -> Glushko
             )
         if isinstance(op, MultL):
             g1 = go(node.operands[0])
-            if g1 is None:
-                return None
             return GlushkovData(
                 w.times(op.weight, g1.null),
                 g1.positions,
@@ -568,8 +548,6 @@ def glushkov_functions(e: WordExpression, container: EffectContainer) -> Glushko
             )
         if isinstance(op, MultR):
             g1 = go(node.operands[0])
-            if g1 is None:
-                return None
             return GlushkovData(
                 w.times(g1.null, op.weight),
                 g1.positions,
@@ -577,7 +555,7 @@ def glushkov_functions(e: WordExpression, container: EffectContainer) -> Glushko
                 lambda c: w.times(g1.last_weight(c), op.weight),
                 g1.follow,
             )
-        return None
+        raise UnsupportedOperation(f"no positional reading of {op!r}")
 
     return go(e)
 
@@ -595,13 +573,10 @@ def _render_ginit(_s):
     return "i"
 
 
-def position_automaton(e: WordExpression, container: EffectContainer) -> WordAutomaton | None:
-    """Glushkov automaton over {init} + positions; None when some operator
-    does not support positions."""
-    linear = linearize(e)
-    data = glushkov_functions(linear, container)
-    if data is None:
-        return None
+def position_automaton(e: WordExpression, container: EffectContainer) -> WordAutomaton:
+    """Glushkov automaton over {init} + positions; raises UnsupportedOperation
+    when some operator does not support positions."""
+    data = glushkov_functions(linearize(e), container)
     init = GlushkovInit()
 
     def filter_by(sym, c):
@@ -871,16 +846,15 @@ def _render_pure(p):
     return "t" if p.marker else "s"
 
 
-def inductive_automaton(e: WordExpression, container: EffectContainer) -> WordAutomaton | None:
+def inductive_automaton(e: WordExpression, container: EffectContainer) -> WordAutomaton:
     """Structural construction over the automaton combinators.
 
-    Supported for set and linear-combination containers; expressions with
-    custom function operators have no inductive reading (None)."""
-    if not isinstance(container, (FiniteSetContainer, LinCombContainer)):
-        raise UnsupportedOperation("inductive construction needs sets or linear combinations")
+    Raises UnsupportedOperation for custom function operators, which have no
+    inductive reading, for negation outside the set container and for
+    intersection over non-boolean weights."""
     w = container.weights
 
-    def go(node) -> WordAutomaton | None:
+    def go(node) -> WordAutomaton:
         if isinstance(node, Epsilon):
             return WordAutomaton(
                 container,
@@ -911,38 +885,23 @@ def inductive_automaton(e: WordExpression, container: EffectContainer) -> WordAu
             )
         op = node.operator
         if isinstance(op, Plus):
-            a1, a2 = go(node.operands[0]), go(node.operands[1])
-            if a1 is None or a2 is None:
-                return None
-            return union(a1, a2)
+            return union(go(node.operands[0]), go(node.operands[1]))
         if isinstance(op, Concat):
-            a1, a2 = go(node.operands[0]), go(node.operands[1])
-            if a1 is None or a2 is None:
-                return None
-            return concatenate(a1, a2)
+            return concatenate(go(node.operands[0]), go(node.operands[1]))
         if isinstance(op, Star):
-            a1 = go(node.operands[0])
-            return None if a1 is None else kleene_star(a1)
+            return kleene_star(go(node.operands[0]))
         if isinstance(op, MultL):
-            a1 = go(node.operands[0])
-            return None if a1 is None else scale_left(op.weight, a1)
+            return scale_left(op.weight, go(node.operands[0]))
         if isinstance(op, MultR):
-            a1 = go(node.operands[0])
-            return None if a1 is None else scale_right(a1, op.weight)
+            return scale_right(go(node.operands[0]), op.weight)
         if isinstance(op, Inter):
             _require_boolean(w, "intersection")
-            a1, a2 = go(node.operands[0]), go(node.operands[1])
-            if a1 is None or a2 is None:
-                return None
-            return intersection(a1, a2)
+            return intersection(go(node.operands[0]), go(node.operands[1]))
         if isinstance(op, Not):
             _require_boolean(w, "negation")
             if not isinstance(container, FiniteSetContainer):
                 raise UnsupportedOperation("negation needs the set container")
-            a1 = go(node.operands[0])
-            if a1 is None:
-                return None
-            comp = complement_complete_dfa(determinize(a1))
+            comp = complement_complete_dfa(determinize(go(node.operands[0])))
 
             def delta(sym, subset):
                 return container.unit(comp.delta(sym, subset))
@@ -950,7 +909,7 @@ def inductive_automaton(e: WordExpression, container: EffectContainer) -> WordAu
             return WordAutomaton(
                 container, container.unit(comp.initial), delta, comp.final
             )
-        return None
+        raise UnsupportedOperation(f"no inductive reading of {op!r}")
 
     return go(e)
 

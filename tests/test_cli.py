@@ -9,6 +9,7 @@ from automonad.algebra import INTEGERS
 from automonad.cli import (
     EXIT_CAPS,
     EXIT_PARSE,
+    EXIT_UNSUPPORTED,
     EXIT_WEIGHT,
     build_parser,
     main,
@@ -152,6 +153,19 @@ class TestWeight:
                     out[weights] = capsys.readouterr().out
                 assert out["boolexpr"] == out["bool"] and out["genexpr"] == out["int"]
 
+    @pytest.mark.parametrize("palette", ["simple", "scalar"])
+    def test_word_inductive_weights_agree_across_containers(self, palette, capsys):
+        # the inductive construction weighs under every container too
+        for seed in range(8):
+            for word in ("", "a", "ab", "cab", "bcca"):
+                argv = ["weight", "word", "--random", str(seed), "6", word]
+                argv += ["--palette", palette, "--method", "inductive"]
+                out = {}
+                for weights in WEIGHTS:
+                    assert main(argv + ["--weights", weights]) == 0
+                    out[weights] = capsys.readouterr().out
+                assert out["boolexpr"] == out["bool"] and out["genexpr"] == out["int"]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -171,23 +185,25 @@ class TestWeight:
         assert capsys.readouterr().out.strip() == expected
 
 
-DOT_BUILDS = [("word", "12", m) for m in ("positions", "derivation")] + [
-    ("tree", "8", m) for m in ("positions", "derivation", "inductive")
-]
+METHODS = ("positions", "derivation", "inductive")
+DOT_BUILDS = [("word", "12", m) for m in METHODS] + [("tree", "8", m) for m in METHODS]
 
 
 @pytest.mark.parametrize("kind, size, method", DOT_BUILDS)
 def test_dot_agrees_across_containers(kind, size, method, capsys):
     # one construction draws the same automaton under every container: the
     # expression containers' DOT is byte-identical to bool's and int's
+    palettes = [["--palette", p] for p in ("simple", "scalar")] if kind == "word" else [[]]
     for seed in range(4):
-        argv = ["build", kind, "--random", str(seed), size, "--method", method, "--caps", "200"]
-        out = {}
-        for weights in WEIGHTS:
-            code = main(argv + ["--weights", weights])
-            out[weights] = code, capsys.readouterr()
-        assert {code for code, _ in out.values()} == {0}
-        assert out["boolexpr"] == out["bool"] and out["genexpr"] == out["int"]
+        for palette in palettes:
+            argv = ["build", kind, "--random", str(seed), size, *palette]
+            argv += ["--method", method, "--caps", "200"]
+            out = {}
+            for weights in WEIGHTS:
+                code = main(argv + ["--weights", weights])
+                out[weights] = code, capsys.readouterr()
+            assert {code for code, _ in out.values()} == {0}, argv
+            assert out["boolexpr"] == out["bool"] and out["genexpr"] == out["int"], argv
 
 
 BAD_ALPHABETS = [
@@ -253,6 +269,8 @@ EXITS = {
     ("weight", "word", "[-]:a", "ab"): EXIT_PARSE,
     ("weight", "word", "[ ]:a", "ab"): EXIT_PARSE,
     ("weight", "tree", "--method", "occurrence", "g(_,_)"): EXIT_PARSE,
+    ("build", "word", "--method", "inductive", "--weights", "genexpr", "a*"): 0,
+    ("build", "word", "--method", "inductive", "--weights", "boolexpr", "~a"): EXIT_UNSUPPORTED,
 }
 HOSTILE += [list(argv) for argv in EXITS]
 EXPRESSIONS = {"word": ("[2]:a*.b", "ab"), "tree": ("@a .() (@f(()))*()", "f(a)")}

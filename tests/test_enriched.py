@@ -17,7 +17,6 @@ from automonad.enriched import (
     WordAtom,
     aci_normalize,
     atoms_of,
-    delinearize,
     enriched_derive,
     expression_to_text,
     final_symbols,
@@ -140,9 +139,9 @@ class TestStructuralOps:
 class TestLinearize:
     def test_word_atom_indexing(self):
         e = ESub(UNIT, watom("f"), watom("f"))
-        lin = linearize(e, 3)
+        lin = linearize(e)
         assert lin == ESub(
-            UNIT, ETensor(WordAtom(PosSym(3, "f"))), ETensor(WordAtom(PosSym(4, "f")))
+            UNIT, ETensor(WordAtom(PosSym(1, "f"))), ETensor(WordAtom(PosSym(2, "f")))
         )
 
     def test_variables_untouched(self):
@@ -150,11 +149,6 @@ class TestLinearize:
         lin = linearize(e)
         assert lin.atom.vars == ("x", "y")
         assert lin.atom.symbol == PosSym(1, G)
-
-    def test_delinearize_inverse(self):
-        for seed in range(15):
-            e = random_tree_expression(seed, 4)
-            assert delinearize(linearize(e)) == e
 
 
 class TestPredecessors:

@@ -45,17 +45,33 @@ def _used_in_src():
     return used
 
 
-def test_every_export_has_a_caller_outside_the_tests():
+def _read_outside_the_tests():
+    """Whether a name is read by the package, the bench or the README's
+    library tour."""
     bench = "\n".join(path.read_text() for path in (ROOT / "bench").glob("*.py"))
     readme = (ROOT / "README.md").read_text()
     tour = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
     used = _used_in_src()
-    unused = [
-        name
-        for name in _exported()
-        if name not in used and not re.search(rf"\b{name}\b", bench + tour)
-    ]
+    return lambda name: name in used or re.search(rf"\b{name}\b", bench + tour)
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    read = _read_outside_the_tests()
+    unused = [name for name in _exported() if not read(name)]
     assert not unused, f"exported but only called from tests: {unused}"
+
+
+def test_every_public_definition_has_a_reader_outside_the_tests():
+    read = _read_outside_the_tests()
+    unused = [
+        f"{path.name}:{statement.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for statement in ast.parse(path.read_text()).body
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+        and not statement.name.startswith("_")
+        and not read(statement.name)
+    ]
+    assert not unused, f"defined but only read by tests: {unused}"
 
 
 def _modules(*folders):

@@ -71,8 +71,6 @@ def test_tabulated_weights_equal_raw_weights(kind, method, weights):
             e = en.from_word_expression(e) if kind == "enriched" else e
             probes = [(w,) for w in words]
         auto = construct(kind, method, weights, e)
-        if auto is None:
-            continue
         table = auto.tabulated()
         for probe in probes:
             assert table.weight(*probe) == untabulated_weight(auto, *probe), (seed, probe)
