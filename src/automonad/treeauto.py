@@ -157,16 +157,20 @@ class TopDownContainerTA:
     var_weight: Callable[[Any], Any]  # state -> container of variables
 
     def weight(self, t: RankedTree, variables: tuple = ()):
+        """The weight of `t` with its holes bound to `variables`.  Each
+        `(state, subtree, variables)` weight is computed once per call, or
+        once per table for a `tabulated()` automaton."""
         cont = self.container
         w = cont.weights
         if len(variables) != t.arity():
             raise ValueError(f"tree of arity {t.arity()} needs {t.arity()} variables")
-        memo: dict = {}
+        memo = self._subtree_weights()
 
         def go(state, tree, vs):
             key = (state, tree, vs)
-            if key in memo:
-                return memo[key]
+            out = memo.get(key)
+            if out is not None:
+                return out
             if tree is HOLE:
                 out = cont.element_weight(self.var_weight(state), vs[0])
             else:
@@ -187,13 +191,18 @@ class TopDownContainerTA:
 
         return cont.finality_step(self.initial, lambda state: go(state, t, tuple(variables)))
 
+    def _subtree_weights(self) -> dict:
+        """The `(state, subtree, variables) -> weight` memo of one weighing."""
+        return {}
+
     def recognizes(self, t: RankedTree) -> bool:
         return bool(self.weight(t))
 
     def tabulated(self) -> TopDownContainerTA:
-        """The same automaton over integer state ids.  Each row `(symbol, id)`
-        and each state's variable weight is computed the first time it is
-        used and looked up afterwards; weights are unchanged."""
+        """The same automaton over integer state ids.  Each row `(symbol, id)`,
+        each state's variable weight and each `(id, subtree, variables)`
+        weight is computed the first time it is used and looked up
+        afterwards; weights are unchanged."""
         ids = _StateIds(self.container)
         states = ids.states
 
@@ -201,12 +210,27 @@ class TopDownContainerTA:
             vectors = self.delta(symbol, states[i])
             return self.container.map(lambda vect: tuple(map(ids.of, vect)), vectors)
 
-        return TopDownContainerTA(
+        return _TopDownTable(
             self.container,
             ids.value(self.initial),
             _memo(delta),
             _memo(lambda i: self.var_weight(states[i])),
         )
+
+
+@dataclass(frozen=True)
+class _TopDownTable(TopDownContainerTA):
+    """A tabulated top-down automaton: its states are already ids, so it is
+    its own table, and it keeps every subtree weight it computes for its
+    lifetime, so a subtree that recurs in later trees is weighed once."""
+
+    subtree_weights: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def _subtree_weights(self) -> dict:
+        return self.subtree_weights
+
+    def tabulated(self) -> TopDownContainerTA:
+        return self
 
 
 def occurrence_automaton(subject: RankedTree) -> TopDownContainerTA:

@@ -16,6 +16,7 @@ from . import enriched as en
 from . import treeauto as ta
 from . import wordexpr as wx
 from .algebra import BOOLEANS, INTEGERS, Node, RankedSymbol
+from .automata import _memo
 from .containers import BOOL_EXPR, FINITE_SET, gen_expr, lin_comb
 from .util import UnsupportedOperation, render
 
@@ -121,7 +122,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _compare(report, instance, expr_text, probe_text, weights):
+def _compare(report, instance, expr_text, probe, probe_text, weights):
     names = list(weights)
     base = names[0]
     for other in names[1:]:
@@ -131,7 +132,7 @@ def _compare(report, instance, expr_text, probe_text, weights):
                 Disagreement(
                     instance,
                     expr_text,
-                    probe_text,
+                    probe_text(probe),
                     base,
                     weights[base],
                     other,
@@ -143,50 +144,69 @@ def _compare(report, instance, expr_text, probe_text, weights):
 def _compare_probes(report, instance, expr_text, builders, probes, probe_text):
     """Compare the "method/bool" weight functions among themselves on each
     probe, the "method/int" ones likewise, and boolean against integer
-    membership."""
+    membership.  `probe_text` renders a probe for a disagreement."""
     bool_names = [n for n in builders if n.endswith("/bool")]
     int_names = [n for n in builders if n.endswith("/int")]
     for probe in probes:
-        text = probe_text(probe)
         bool_weights = {n: bool(builders[n](probe)) for n in bool_names}
-        _compare(report, instance, expr_text, text, bool_weights)
+        _compare(report, instance, expr_text, probe, probe_text, bool_weights)
         int_weights = {n: builders[n](probe) for n in int_names}
-        _compare(report, instance, expr_text, text, int_weights)
+        _compare(report, instance, expr_text, probe, probe_text, int_weights)
         member = {
             "bool": bool_weights[bool_names[0]],
             "int-nonzero": int_weights[int_names[0]] != 0,
         }
-        _compare(report, instance, expr_text, text, member)
+        _compare(report, instance, expr_text, probe, probe_text, member)
 
 
-def sample_word_from(e, rng: random.Random, max_len: int = 10):
+def _word_sampler(e):
+    """`sample_word_from` for `e` as a function of `(rng, max_len)`.  The
+    options of each `(symbol, expression)` derivative are computed once:
+    in render order (the set's `support`), then normalized, so the random
+    stream is the one a fresh derivation would draw."""
+    symbols = sorted(set(wx.symbols_of(e)), key=render)
+
+    @_memo
+    def options(sym, state):
+        d = wx.monadic_derive(sym, state, FINITE_SET)
+        return tuple(wx.aci_normalize(o, BOOLEANS) for o in FINITE_SET.support(d))
+
+    def sample(rng, max_len):
+        state = e
+        out = []
+        order = list(symbols)
+        for _ in range(max_len):
+            if wx.nullable(state, BOOLEANS) and rng.random() < 0.4:
+                return tuple(out)
+            rng.shuffle(order)
+            for sym in order:
+                d = options(sym, state)
+                if d:
+                    state = rng.choice(d)
+                    out.append(sym)
+                    break
+            else:
+                break
+        return tuple(out) if wx.nullable(state, BOOLEANS) else None
+
+    return sample
+
+
+def sample_word_from(e, rng: random.Random, max_len: int):
     """Draw a word from the expression's language by following random
     derivatives; None when sampling dead-ends."""
-    state = e
-    out = []
-    symbols = sorted(set(wx.symbols_of(e)), key=render)
-    for _ in range(max_len):
-        if wx.nullable(state, BOOLEANS) and rng.random() < 0.4:
-            return tuple(out)
-        rng.shuffle(symbols)
-        for sym in symbols:
-            d = wx.monadic_derive(sym, state, FINITE_SET)
-            if d:
-                state = wx.aci_normalize(rng.choice(sorted(d, key=render)), BOOLEANS)
-                out.append(sym)
-                break
-        else:
-            break
-    return tuple(out) if wx.nullable(state, BOOLEANS) else None
+    return _word_sampler(e)(rng, max_len)
 
 
 def word_probes(e, rng: random.Random, count: int, alphabet, max_len: int = 10):
-    """Half uniform random words, half language samples."""
+    """Half uniform random words, half language samples, all drawn by one
+    sampler of `e`."""
     probes = []
     for _ in range(count // 2):
         probes.append(wx.random_word(rng, alphabet, max_len))
+    sample = _word_sampler(e)
     for _ in range(count - len(probes)):
-        w = sample_word_from(e, rng, max_len)
+        w = sample(rng, max_len)
         probes.append(w if w is not None else wx.random_word(rng, alphabet, max_len))
     return probes
 
@@ -195,14 +215,17 @@ def _constructions(kind, e, mutate: dict | None) -> dict:
     """Every registered construction of `kind` under boolean and integer
     weights, as "method/weights" -> weight function.  Each weighs through
     the automaton's `tabulated()` transition table, so a (symbol, state)
-    transition is computed once per instance however many probes reach it."""
+    transition, and a top-down (state, subtree) weight, is computed once per
+    instance however many probes reach it.  Each weight function is
+    memoized per probe, so a repeated probe is weighed once; a `mutate`
+    wrapper sits outside the memo and sees every call."""
     builders: dict = {}
     for weights in BOOL_INT:
         for (k, method), (_builder, accepted) in CONSTRUCTIONS.items():
             if k != kind or weights not in accepted:
                 continue
             name = f"{method}/{weights}"
-            fn = construct(kind, method, weights, e).tabulated().weight
+            fn = _memo(construct(kind, method, weights, e).tabulated().weight)
             if mutate and name in mutate:
                 fn = mutate[name](fn)
             builders[name] = fn
@@ -254,27 +277,36 @@ def random_probe_tree(rng: random.Random, alphabet, max_depth: int = 5):
     return grow(0)
 
 
-def sample_tree_from(e, rng: random.Random):
-    """Grow a tree accepted by the finite-set derivation automaton,
-    top-down; None past depth 6."""
+def _tree_sampler(e):
+    """`sample_tree_from` for `e` as a function of `rng`.  The options of
+    each `(symbol, expression)` derivative are computed once: in render
+    order (the set's `support`), then normalized, so the random stream is
+    the one a fresh derivation would draw."""
     alphabet = sorted(
         {a.symbol for a in en.atoms_of(e)}, key=lambda s: (s.arity, s.name)
     )
+    start = en.aci_normalize(e, BOOLEANS)
 
-    def grow(expr, depth):
+    @_memo
+    def options(sym, expr):
+        d = en.enriched_derive(sym, expr, FINITE_SET)
+        return tuple(
+            tuple(en.aci_normalize(sub, BOOLEANS) for sub in vect)
+            for vect in FINITE_SET.support(d)
+        )
+
+    def grow(rng, expr, depth):
         if depth > 6:
             return None
         symbols = list(alphabet)
         rng.shuffle(symbols)
         for sym in symbols:
-            d = en.enriched_derive(sym, expr, FINITE_SET)
-            options = FINITE_SET.support(d)
-            if not options:
+            vects = options(sym, expr)
+            if not vects:
                 continue
-            vect = rng.choice(sorted(options, key=render))
             children = []
-            for sub in vect:
-                child = grow(en.aci_normalize(sub, BOOLEANS), depth + 1)
+            for sub in rng.choice(vects):
+                child = grow(rng, sub, depth + 1)
                 if child is None:
                     break
                 children.append(child)
@@ -282,15 +314,24 @@ def sample_tree_from(e, rng: random.Random):
                 return Node(sym, tuple(children))
         return None
 
-    return grow(en.aci_normalize(e, BOOLEANS), 0)
+    return lambda rng: grow(rng, start, 0)
+
+
+def sample_tree_from(e, rng: random.Random):
+    """Grow a tree accepted by the finite-set derivation automaton,
+    top-down; None past depth 6."""
+    return _tree_sampler(e)(rng)
 
 
 def tree_probes(e, rng: random.Random, count: int, alphabet, max_depth: int = 5):
+    """Half random trees, half language samples, all drawn by one sampler
+    of `e`."""
     probes = []
     for _ in range(count // 2):
         probes.append(random_probe_tree(rng, alphabet, max_depth))
+    sample = _tree_sampler(e)
     for _ in range(count - len(probes)):
-        t = sample_tree_from(e, rng)
+        t = sample(rng)
         probes.append(t if t is not None else random_probe_tree(rng, alphabet, max_depth))
     return probes
 

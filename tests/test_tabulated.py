@@ -1,9 +1,12 @@
 """`tabulated()`: the same automaton over integer state ids, whose transition
 rows are computed once.  Its weights must equal the untabulated weights on
 the probes the harnesses draw, and each (symbol, state) row, variable
-initialization and final weight must be computed exactly once.  A word
-automaton's own `weight` reads through such a table, one per call."""
+initialization and final weight must be computed exactly once; a top-down
+table also keeps its subtree weights.  A word automaton's own `weight` reads
+through such a table, one per call.  The harnesses weigh a repeated probe
+once per construction, and draw the same probes however they memoize."""
 
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -12,10 +15,23 @@ import pytest
 
 from automonad import enriched as en
 from automonad import wordexpr as wx
-from automonad.algebra import HOLE, Node
+from automonad.algebra import INTEGERS, HOLE, Node
 from automonad.automata import WordAutomaton
-from automonad.util import UNIT
-from automonad.validate import INT_LIN, CONSTRUCTIONS, construct, tree_probes, word_probes
+from automonad.containers import LinCombContainer
+from automonad.treeauto import BottomUpContainerTA, TopDownContainerTA
+from automonad.util import UNIT, render
+from automonad.validate import (
+    BOOL_INT,
+    INT_LIN,
+    CONSTRUCTIONS,
+    construct,
+    sample_tree_from,
+    sample_word_from,
+    tree_probes,
+    validate_trees,
+    validate_words,
+    word_probes,
+)
 
 WORD_ALPHABET = ("a", "b", "c")
 SEEDS = range(4)
@@ -148,6 +164,117 @@ def test_word_weight_computes_each_row_once_per_call():
 
 
 def test_a_table_is_its_own_table():
-    e, _words = word_instance(0)
-    table = wx.derivation_automaton(e, INT_LIN).tabulated()
-    assert table.tabulated() is table
+    for kind, method in [("word", "derivation"), ("tree", "derivation"), ("tree", "positions")]:
+        e, _probes = word_instance(0) if kind == "word" else tree_instance(0)
+        table = construct(kind, method, "int", e).tabulated()
+        assert table.tabulated() is table, (kind, method)
+
+
+class CountingLinComb(LinCombContainer):
+    """`lin_comb(INTEGERS)`, counting its `finality_step` calls."""
+
+    def __init__(self):
+        super().__init__(INTEGERS)
+        self.steps = 0
+
+    def finality_step(self, c, final):
+        self.steps += 1
+        return super().finality_step(c, final)
+
+
+def test_top_down_table_keeps_subtree_weights():
+    e, probes = tree_instance(0)
+    counting = CountingLinComb()
+    table = en.tree_derivation_automaton(e, counting).tabulated()
+    for probe in probes:
+        first = table.weight(*probe)
+        counting.steps = 0
+        assert table.weight(*probe) == first
+        assert counting.steps == 1, probe  # the initial fold alone
+
+
+@pytest.mark.parametrize("closed_first", [True, False])
+def test_top_down_subtree_weights_are_keyed_by_variables(closed_first):
+    # every tree over the alphabet, holes included, weighs 1 under UNIT
+    e = en.parse_tree_expression("(@h(()) + @g((),()) + @f(()) + @a + @b + @c)*()")
+    trees = tree_probes(e, random.Random(0), 30, en.DEFAULT_TREE_ALPHABET)
+    closed = [(t, ()) for t in trees]
+    holed = [(with_hole(t), vs) for vs in [(UNIT,), ("x",)] for t in trees]
+    auto = en.tree_derivation_automaton(e, INT_LIN)
+    table = auto.tabulated()
+    for probe in closed + holed if closed_first else holed + closed:
+        assert table.weight(*probe) == untabulated_weight(auto, *probe), probe
+
+
+HARNESSES = [
+    ("word", validate_words, [WordAutomaton]),
+    ("tree", validate_trees, [TopDownContainerTA, BottomUpContainerTA]),
+]
+
+
+@pytest.mark.parametrize("kind, harness, classes", HARNESSES, ids=[h[0] for h in HARNESSES])
+def test_the_harness_weighs_a_repeated_probe_once(monkeypatch, kind, harness, classes):
+    weighed = []  # every automaton weighing, construction-time ones too
+    for cls in classes:
+
+        def weight(self, *args, _weight=cls.weight):
+            weighed.append(args)
+            return _weight(self, *args)
+
+        monkeypatch.setattr(cls, "weight", weight)
+    seen = []  # the probes of one construction of one instance, per list
+    reached = []  # the weighings each harness call caused
+
+    def watch(fn):
+        probes = []
+        seen.append(probes)
+
+        def wrapped(probe):
+            probes.append(probe)
+            before = len(weighed)
+            out = fn(probe)
+            reached.append(len(weighed) - before)
+            return out
+
+        return wrapped
+
+    kinds = ("word", "enriched") if kind == "word" else ("tree",)
+    mutate = {
+        f"{method}/{weights}": watch
+        for (k, method), (_builder, accepted) in CONSTRUCTIONS.items()
+        if k in kinds
+        for weights in BOOL_INT
+        if weights in accepted
+    }
+    report = harness(instances=6, probes=40, seed=3, mutate=mutate)
+    assert report.ok
+    assert seen and all(len(probes) == 40 for probes in seen)
+    distinct = sum(len(set(probes)) for probes in seen)
+    assert sum(reached) == distinct < 40 * len(seen)
+
+
+def drawn_probes(seed, count):
+    """The rendered probes the harnesses draw for one word and one tree
+    expression from `seed`, each followed by one more language sample."""
+    rng = random.Random(seed)
+    palette = wx.SCALAR_OPS if seed % 2 else wx.SIMPLE_OPS
+    e = wx.random_expression(0, 5, WORD_ALPHABET, palette, rng=rng)
+    words = ["".join(w) for w in word_probes(e, rng, count, WORD_ALPHABET)]
+    word = sample_word_from(e, rng, 10)
+    t = en.random_tree_expression(0, 3, en.DEFAULT_TREE_ALPHABET, rng=rng)
+    trees = [render(x) for x in tree_probes(t, rng, count, en.DEFAULT_TREE_ALPHABET)]
+    tree = sample_tree_from(t, rng)
+    return words, word and "".join(word), trees, tree and render(tree)
+
+
+def test_the_probe_stream_is_pinned():
+    assert drawn_probes(1, 6) == (
+        ["abaaaccab", "abcacabbca", "acabb", "ba", "ba", "aa"],
+        "aa",
+        ["h(c)", "c", "c", "h(h(h(c)))", "g(h(c),h(c))", "g(h(c),h(c))"],
+        "g(h(c),h(c))",
+    )
+    streams = repr([drawn_probes(seed, 40) for seed in range(8)])
+    assert hashlib.sha256(streams.encode()).hexdigest() == (
+        "5a37cabb5cb5c4012b3addcd5a2df30fdbcf10ec918984079559c25dff8c364a"
+    )
