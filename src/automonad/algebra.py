@@ -92,12 +92,19 @@ def product_monoid(m1: MonoidValue, m2: MonoidValue) -> MonoidValue:
 
 @dataclass(frozen=True)
 class RankedSymbol:
+    """A symbol and its arity.  The hash is the dataclass's own, computed once
+    when the symbol is built: symbols key every tree memo."""
+
     name: str
     arity: int
 
     def __post_init__(self):
         if self.arity < 0:
             raise ValueError("arity must be non-negative")
+        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"{self.name}/{self.arity}"
@@ -149,6 +156,10 @@ HOLE = _Hole()
 
 @dataclass(frozen=True)
 class Node(RankedTree):
+    """A symbol applied to its children.  The hash (the dataclass's own) and
+    the arity are computed once when the node is built, so a tree that keys
+    a memo, or is sliced by arity, is not walked again."""
+
     symbol: RankedSymbol
     children: tuple = ()
 
@@ -158,9 +169,14 @@ class Node(RankedTree):
                 f"symbol {self.symbol!r} expects {self.symbol.arity} children, "
                 f"got {len(self.children)}"
             )
+        object.__setattr__(self, "_hash", hash((self.symbol, self.children)))
+        object.__setattr__(self, "_arity", sum(child.arity() for child in self.children))
+
+    def __hash__(self):
+        return self._hash
 
     def arity(self):
-        return sum(child.arity() for child in self.children)
+        return self._arity
 
     def _fill(self, parts):
         filled = []

@@ -57,9 +57,12 @@ class WordAutomaton:
         return c
 
     def weight(self, word):
-        """The weight of `word`, read through a fresh `tabulated()` table, so
-        each (symbol, state) row is computed once per call; the table is
-        dropped when the call returns.
+        """The weight of `word`, read through `tabulated()`.  On a kept table
+        (one that is its own table) the fold reads through the table's
+        configuration steps.  Otherwise the table is fresh, so each
+        (symbol, state) row is computed once per call, and the table, which
+        keeps no step, is dropped when the call returns: the configurations
+        of one long word rarely repeat, and keeping them would hash each.
 
         The word folds forward through `bind` (`config`) and the final map
         weighs the configuration reached, where configurations stay small.
@@ -69,15 +72,17 @@ class WordAutomaton:
         table = self.tabulated()
         if table.container.folds_backward:
             return table.weigh_backward(word)
-        return table.container.finality_step(table.config(word), table.final)
+        c = table.config(word) if table is self else WordAutomaton.config(table, word)
+        return table.container.finality_step(c, table.final)
 
     def recognizes(self, word) -> bool:
         return bool(self.weight(word))
 
     def tabulated(self) -> WordAutomaton:
-        """The same automaton over integer state ids.  Each transition row
-        `(symbol, id)` and each final weight is computed the first time it
-        is used and looked up afterwards; weights are unchanged."""
+        """The same automaton over integer state ids, kept as a table.  Each
+        transition row `(symbol, id)`, each final weight and each
+        configuration step `(symbol, configuration)` is computed the first
+        time it is used and looked up afterwards; weights are unchanged."""
         ids = _StateIds(self.container)
         states = ids.states
         return _Table(
@@ -88,9 +93,25 @@ class WordAutomaton:
         )
 
 
+@dataclass(frozen=True)
 class _Table(WordAutomaton):
     """A tabulated automaton: its states are already ids, so it is its own
-    table."""
+    table.  It keeps each configuration step it reads,
+    `(symbol, configuration) -> bind(configuration, row)`, for its lifetime,
+    so `steps` grows with the distinct configurations read."""
+
+    steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def config(self, word) -> Any:
+        steps, bind, delta = self.steps, self.container.bind, self.delta
+        c = self.initial
+        for sym in word:
+            key = (sym, c)
+            out = steps.get(key, _MISSING)  # an OPTIONAL configuration may be None
+            if out is _MISSING:
+                out = steps[key] = bind(c, lambda s, sym=sym: delta(sym, s))
+            c = out
+        return c
 
     def tabulated(self) -> WordAutomaton:
         return self
@@ -121,14 +142,18 @@ class _Table(WordAutomaton):
         return container.finality_step(self.initial, beta.__getitem__)
 
 
+_MISSING = object()
+
+
 def _memo(fn: Callable) -> Callable:
     """`fn`, computed once per argument tuple and looked up afterwards."""
     cache: dict = {}
 
     def memo(*args):
-        if args not in cache:
-            cache[args] = fn(*args)
-        return cache[args]
+        out = cache.get(args, _MISSING)
+        if out is _MISSING:
+            out = cache[args] = fn(*args)
+        return out
 
     return memo
 

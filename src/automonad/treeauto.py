@@ -19,6 +19,7 @@ from .containers import DETERMINISTIC, EffectContainer, FiniteSetContainer, lin_
 from .algebra import INTEGERS
 from .automata import (
     DEFAULT_MAX_STATES,
+    _MISSING,
     _StateIds,
     _accepting_node,
     _breadth_first,
@@ -85,19 +86,56 @@ class BottomUpContainerTA:
         return bool(self.weight(t))
 
     def tabulated(self) -> BottomUpContainerTA:
-        """The same automaton over integer state ids.  Each row
-        `(symbol, id tuple)`, each variable's initial configuration and each
-        final weight is computed the first time it is used and looked up
-        afterwards; weights are unchanged."""
+        """The same automaton over integer state ids, kept as a table.  Each
+        row `(symbol, id tuple)`, each variable's initial configuration, each
+        final weight and each node step `(symbol, child configurations)` is
+        computed the first time it is used and looked up afterwards; weights
+        are unchanged."""
         ids = _StateIds(self.container)
         states = ids.states
         init = None if self.init is None else _memo(lambda var: ids.value(self.init(var)))
-        return BottomUpContainerTA(
+        return _BottomUpTable(
             self.container,
             init,
             _memo(lambda symbol, key: ids.value(self.delta(symbol, tuple(states[i] for i in key)))),
             _memo(lambda i: self.final(states[i])),
         )
+
+
+@dataclass(frozen=True)
+class _BottomUpTable(BottomUpContainerTA):
+    """A tabulated bottom-up automaton: its states are already ids, so it is
+    its own table.  It keeps each node step it reads,
+    `(symbol, child configurations) -> bind(sequence(children), row)`, for
+    its lifetime, so `steps` grows with the distinct configurations read;
+    a hole reads the memoized `init`."""
+
+    steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def config(self, t: RankedTree, variables: tuple = ()):
+        cont, steps = self.container, self.steps
+        if len(variables) != t.arity():
+            raise ValueError(f"tree of arity {t.arity()} needs {t.arity()} variables")
+
+        def go(tree, vs):
+            if tree is HOLE:
+                if self.init is None:
+                    raise UnsupportedOperation("automaton has no variable initialization")
+                return self.init(vs[0])
+            groups = _split_by_arity(vs, tree.children)
+            children = tuple([go(c, g) for c, g in zip(tree.children, groups)])
+            key = (tree.symbol, children)
+            out = steps.get(key, _MISSING)
+            if out is _MISSING:
+                out = steps[key] = cont.bind(
+                    cont.sequence(children), lambda states: self.delta(tree.symbol, states)
+                )
+            return out
+
+        return go(t, tuple(variables))
+
+    def tabulated(self) -> BottomUpContainerTA:
+        return self
 
 
 class BottomUpDetTA(BottomUpContainerTA):

@@ -214,11 +214,12 @@ def word_probes(e, rng: random.Random, count: int, alphabet, max_len: int = 10):
 def _constructions(kind, e, mutate: dict | None) -> dict:
     """Every registered construction of `kind` under boolean and integer
     weights, as "method/weights" -> weight function.  Each weighs through
-    the automaton's `tabulated()` transition table, so a (symbol, state)
-    transition, and a top-down (state, subtree) weight, is computed once per
-    instance however many probes reach it.  Each weight function is
-    memoized per probe, so a repeated probe is weighed once; a `mutate`
-    wrapper sits outside the memo and sees every call."""
+    the automaton's `tabulated()` table, kept for the instance, so a
+    (symbol, state) transition, a word or bottom-up configuration step and
+    a top-down (state, subtree) weight is computed once per instance however
+    many probes reach it.  Each weight function is memoized per probe, so a
+    repeated probe is weighed once; a `mutate` wrapper sits outside the memo
+    and sees every call."""
     builders: dict = {}
     for weights in BOOL_INT:
         for (k, method), (_builder, accepted) in CONSTRUCTIONS.items():

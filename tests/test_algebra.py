@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -137,6 +138,42 @@ class TestTrees:
 
     def test_tree_format_hole_text(self):
         assert tree_to_text(parse_tree("g(_,f(_))")) == "g(_,f(_))"
+
+    def test_equal_trees_hash_equal_however_built(self):
+        parsed = parse_tree("g(f(a),g(_,b))")
+        built = Node(G2, (Node(F1, (Node(A0),)), Node(G2, (HOLE, Node(B0)))))
+        filled = parse_tree("g(_,g(_,b))").compose([Node(F1, (Node(A0),)), HOLE])
+        replaced = dataclasses.replace(parse_tree("g(f(b),g(_,b))"), children=built.children)
+        table = {parsed: "parsed"}
+        for t in (built, filled, replaced):
+            assert t == parsed and hash(t) == hash(parsed) and table[t] == "parsed"
+        # the value of the generated dataclass hash, so set orders are unchanged
+        assert hash(parsed) == hash((parsed.symbol, parsed.children))
+        assert hash(G2) == hash(RankedSymbol("g", 2)) == hash(("g", 2))
+
+    def test_cached_hash_and_arity_are_not_fields(self):
+        t = parse_tree("g(f(a),_)")
+        assert [f.name for f in dataclasses.fields(t)] == ["symbol", "children"]
+        assert [f.name for f in dataclasses.fields(G2)] == ["name", "arity"]
+        assert repr(t) == "g(f(a),_)" and repr(G2) == "g/2"
+        other = Node(t.symbol, t.children)
+        object.__setattr__(other, "_hash", hash(t) + 1)
+        object.__setattr__(other, "_arity", 7)
+        assert other == t  # equality reads the fields alone
+        relabelled = RankedSymbol("g", 2)
+        object.__setattr__(relabelled, "_hash", hash(G2) + 1)
+        assert relabelled == G2
+
+    def test_arity_with_holes_at_every_depth(self):
+        cases = {
+            "a": 0, "_": 1, "f(_)": 1, "g(_,_)": 2, "g(f(_),g(a,_))": 2, "g(g(_,_),f(g(_,a)))": 3,
+        }
+        for text, arity in cases.items():
+            t = parse_tree(text)
+            assert t.arity() == arity, text
+            assert t.compose([Node(A0)] * arity).arity() == 0, text
+            assert t.compose([HOLE] * arity).arity() == arity, text
+        assert parse_tree("g(_,_)").compose([parse_tree("g(_,_)"), HOLE]).arity() == 3
 
 
 def _all_trees(max_size):

@@ -4,7 +4,9 @@ the probes the harnesses draw, and each (symbol, state) row, variable
 initialization and final weight must be computed exactly once; a top-down
 table also keeps its subtree weights.  A word automaton's own `weight` reads
 through such a table, one per call.  The harnesses weigh a repeated probe
-once per construction, and draw the same probes however they memoize."""
+once per construction, and draw the same probes however they memoize.
+A kept word or bottom-up table also keeps its configuration steps, so a
+second weighing binds nothing; a one-shot word weight keeps none."""
 
 import hashlib
 import itertools
@@ -16,8 +18,8 @@ import pytest
 from automonad import enriched as en
 from automonad import wordexpr as wx
 from automonad.algebra import INTEGERS, HOLE, Node
-from automonad.automata import WordAutomaton
-from automonad.containers import LinCombContainer
+from automonad.automata import WordAutomaton, _memo, nfa_to_partial_dfa
+from automonad.containers import LinCombContainer, OptionalContainer
 from automonad.treeauto import BottomUpContainerTA, TopDownContainerTA
 from automonad.util import UNIT, render
 from automonad.validate import (
@@ -164,22 +166,79 @@ def test_word_weight_computes_each_row_once_per_call():
 
 
 def test_a_table_is_its_own_table():
-    for kind, method in [("word", "derivation"), ("tree", "derivation"), ("tree", "positions")]:
+    methods = [("word", "derivation")] + [("tree", m) for m in ("derivation", "positions", "inductive")]
+    for kind, method in methods:
         e, _probes = word_instance(0) if kind == "word" else tree_instance(0)
         table = construct(kind, method, "int", e).tabulated()
         assert table.tabulated() is table, (kind, method)
 
 
+def test_memo_computes_a_none_result_once():
+    calls = {}
+    memo = _memo(counted(lambda x: None, calls))
+    assert memo(1) is None and memo(1) is None and memo(2) is None
+    assert calls == {(1,): 1, (2,): 1}
+
+
 class CountingLinComb(LinCombContainer):
-    """`lin_comb(INTEGERS)`, counting its `finality_step` calls."""
+    """`lin_comb(INTEGERS)`, counting its `finality_step` and `bind` calls."""
 
     def __init__(self):
         super().__init__(INTEGERS)
         self.steps = 0
+        self.binds = 0
 
     def finality_step(self, c, final):
         self.steps += 1
         return super().finality_step(c, final)
+
+    def bind(self, c, f):
+        self.binds += 1
+        return super().bind(c, f)
+
+
+class CountingOptional(OptionalContainer):
+    """`OPTIONAL`, counting its `bind` calls."""
+
+    binds = 0
+
+    def bind(self, c, f):
+        self.binds += 1
+        return super().bind(c, f)
+
+
+def counting_word_automata():
+    """A harness word automaton and words for it, and a partial DFA with
+    words whose configuration dies (`None`), each over a container that
+    counts its binds."""
+    e, words = word_instance(0)
+    nfa = construct("word", "derivation", "bool", wx.parse_expression("a.b*+c.(a+b)"))
+    partial = replace(nfa_to_partial_dfa(nfa), container=CountingOptional())
+    dying = ["b", "ab", "abba", "ca", "cab", "cc", "cabb", "c", "abbb"]
+    return [(wx.derivation_automaton(e, CountingLinComb()), words), (partial, dying)]
+
+
+def test_a_kept_word_table_binds_each_step_once():
+    for auto, words in counting_word_automata():
+        table = auto.tabulated()
+        counting = auto.container
+        first = [table.weight(w) for w in words]
+        assert counting.binds > 0
+        counting.binds = 0
+        assert [table.weight(w) for w in words] == first
+        assert counting.binds == 0, counting
+        if isinstance(counting, OptionalContainer):
+            assert [table.config(w) is None for w in words].count(True) == 5
+
+
+def test_a_one_shot_word_weight_keeps_no_step():
+    for auto, words in counting_word_automata():
+        counting = auto.container
+        for w in words:
+            counting.binds = 0
+            first = auto.weight(w)
+            binds = counting.binds
+            assert auto.weight(w) == first and counting.binds == 2 * binds >= 2 * len(w), w
 
 
 def test_top_down_table_keeps_subtree_weights():
@@ -193,14 +252,39 @@ def test_top_down_table_keeps_subtree_weights():
         assert counting.steps == 1, probe  # the initial fold alone
 
 
-@pytest.mark.parametrize("closed_first", [True, False])
-def test_top_down_subtree_weights_are_keyed_by_variables(closed_first):
-    # every tree over the alphabet, holes included, weighs 1 under UNIT
+def test_bottom_up_table_keeps_node_steps():
+    e, probes = tree_instance(0)
+    counting = CountingLinComb()
+    table = en.tree_inductive_automaton(en.ESum(en.EVar(UNIT), e), counting).tabulated()
+    first_binds = 0
+    for probe in probes:
+        counting.binds = 0
+        first = table.weight(*probe)
+        first_binds += counting.binds
+        counting.binds = 0
+        assert table.weight(*probe) == first
+        assert counting.binds == 0, probe
+    assert first_binds > 0
+
+
+KEYED_BY_VARIABLES = [
+    pytest.param(en.tree_derivation_automaton, True, id="True"),
+    pytest.param(en.tree_derivation_automaton, False, id="False"),
+    pytest.param(en.tree_inductive_automaton, True, id="inductive-True"),
+    pytest.param(en.tree_inductive_automaton, False, id="inductive-False"),
+]
+
+
+@pytest.mark.parametrize("build, closed_first", KEYED_BY_VARIABLES)
+def test_top_down_subtree_weights_are_keyed_by_variables(build, closed_first):
+    # every tree over the alphabet, holes included, weighs 1 under UNIT; the
+    # top-down table keys subtree weights by variables, and the bottom-up
+    # (inductive) table keys node steps by the configurations holes read
     e = en.parse_tree_expression("(@h(()) + @g((),()) + @f(()) + @a + @b + @c)*()")
     trees = tree_probes(e, random.Random(0), 30, en.DEFAULT_TREE_ALPHABET)
     closed = [(t, ()) for t in trees]
     holed = [(with_hole(t), vs) for vs in [(UNIT,), ("x",)] for t in trees]
-    auto = en.tree_derivation_automaton(e, INT_LIN)
+    auto = build(e, INT_LIN)
     table = auto.tabulated()
     for probe in closed + holed if closed_first else holed + closed:
         assert table.weight(*probe) == untabulated_weight(auto, *probe), probe

@@ -133,7 +133,8 @@ class TestModularRwta:
     def test_tabulated_is_a_container_automaton_with_equal_weights(self):
         auto = rwta()
         table = auto.tabulated()
-        assert type(table) is BottomUpContainerTA and table.container is DETERMINISTIC
+        assert isinstance(table, BottomUpContainerTA) and not isinstance(table, BottomUpDetTA)
+        assert table.container is DETERMINISTIC
         cases = [(T_OK, ()), (T_KO, ()), (T_VAR, ("X1", "X2")), (T_VAR, ("X1", "X3")), (HOLE, ("X2",))]
         for t, variables in cases:
             assert table.weight(t, variables) == auto.weight(t, variables)
