@@ -719,7 +719,7 @@ def sequential_pair_automaton(predicate: Callable[[Any], bool]) -> WordAutomaton
     return WordAutomaton(cont, cont.unit(UNIT), delta, lambda _s: m.neutral)
 
 
-def _require(auto: WordAutomaton, kind, what: str):
+def _require(auto, kind, what: str):
     if not isinstance(auto.container, kind):
         raise UnsupportedOperation(
             f"{what} expects a {kind.__name__} automaton, got {auto.container!r}"

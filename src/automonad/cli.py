@@ -2,7 +2,7 @@
 harnesses, generate random expressions.
 
 Exit codes: 0 success (validate: all pass), 1 validation failure, 2 parse
-error (expressions, trees and alphabets), 3 unsupported: an expression
+error (expressions, trees, alphabets, negative sizes), 3 unsupported: an expression
 without a reading in the method (`~a` for `positions`, `~` for `inductive`
 under `boolexpr` or `genexpr`) or a method of another kind (`weight word
 --method occurrence`), 4 exploration cap exceeded, 5 undefined weight (e.g.
@@ -52,6 +52,8 @@ def _expression(args):
     """The word or tree expression that `args` gives as text or --random."""
     if args.random is not None:
         seed, size = args.random
+        if size < 0:
+            raise ExprSyntaxError("--random SIZE must not be negative", 0)
         if args.kind == "word":
             return wx.random_expression(seed, size, args.alphabet, PALETTES[args.palette])
         return en.random_tree_expression(seed, size, args.alphabet)
@@ -132,6 +134,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_random(args) -> int:
+    if args.size < 0:
+        raise ExprSyntaxError("--size must not be negative", 0)
     if args.kind == "word":
         e = wx.random_expression(args.seed, args.size, args.alphabet, PALETTES[args.palette])
         print(wx.expr_to_text(e))

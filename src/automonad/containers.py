@@ -10,6 +10,7 @@ deterministic automata; it has no monoid structure.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass, field
@@ -80,23 +81,35 @@ class EffectContainer:
             out = self.bind(out, lambda acc, c=c: self.map(lambda x: acc + (x,), c))
         return out
 
-    # Derivation hooks; None means "use the collapse-to-expression default".
-    def native_not(self, c):
-        return None
+    def read_back(self, c, build):
+        """Fold a configuration of expressions into one expression through
+        `build`, a record of expression operators (`empty`, `sum`, `scale`,
+        `neg`, `inter`, `function`): by default the sum of `support`, each
+        element scaled by its `element_weight` unless that is one (so
+        absence is `build.empty`)."""
+        one = self.weights.one
+        weighted = [(x, self.element_weight(c, x)) for x in self.support(c)]
+        return build.sum([x if k == one else build.scale(k, x) for x, k in weighted])
 
-    def native_and(self, c1, c2):
-        return None
+    # Derivation hooks: by default each reads its operands back and wraps
+    # the operator applied to them in `unit`.
+    def native_not(self, c, build):
+        return self.unit(build.neg(self.read_back(c, build)))
 
-    def native_function(self, label, arity, fn, cs):
-        return None
+    def native_and(self, c1, c2, build):
+        return self.unit(build.inter(self.read_back(c1, build), self.read_back(c2, build)))
 
-    def expression_action(self, c, wrap, collapse):
+    def native_function(self, label, arity, fn, cs, build):
+        operands = tuple(self.read_back(c, build) for c in cs)
+        return self.unit(build.function(label, arity, fn, operands))
+
+    def expression_action(self, c, wrap, build):
         """Apply an expression-level action (e.g. `concat(_, e2)`) to every
         residual held in `c`.
 
         The elementwise map is only sound where the container structure is
         linear in its leaves; expression-tree containers override this and
-        collapse non-disjunctive subtrees to a single residual first."""
+        read non-disjunctive subtrees back to a single residual first."""
         return self.map(wrap, c)
 
 
@@ -521,13 +534,27 @@ class BoolExprContainer(EffectContainer):
     def support(self, c):
         return bool_expr_variables(c)
 
-    def native_not(self, c):
+    def read_back(self, c, build):
+        # node by node: `true` is the negation of the empty expression
+        if isinstance(c, BVar):
+            return c.name
+        if isinstance(c, BConst):
+            return build.neg(build.empty) if c.value else build.empty
+        if isinstance(c, BNot):
+            return build.neg(self.read_back(c.arg, build))
+        if isinstance(c, BAnd):
+            return functools.reduce(build.inter, [self.read_back(a, build) for a in c.args])
+        if isinstance(c, BOr):
+            return build.sum([self.read_back(a, build) for a in c.args])
+        raise TypeError(c)
+
+    def native_not(self, c, build):
         return bool_not(c)
 
-    def native_and(self, c1, c2):
+    def native_and(self, c1, c2, build):
         return bool_and(c1, c2)
 
-    def expression_action(self, c, wrap, collapse):
+    def expression_action(self, c, wrap, build):
         # Concatenation distributes over disjunction but not over negation
         # or conjunction: those subtrees become one residual each.
         def go(node):
@@ -537,7 +564,7 @@ class BoolExprContainer(EffectContainer):
                 return BVar(wrap(node.name))
             if node == BFALSE:
                 return node
-            return BVar(wrap(collapse(node)))
+            return BVar(wrap(self.read_back(node, build)))
 
         return normalize_bool_expr(go(c))
 
@@ -685,13 +712,43 @@ class GenExprContainer(EffectContainer):
     def support(self, c):
         return gen_expr_variables(c)
 
-    def native_function(self, label, arity, fn, cs):
+    def read_back(self, c, build):
+        # node by node: a constant k is the 0-ary function operator that
+        # denotes the constant series k, and a function node with constant
+        # arguments becomes an operator over its other arguments only
+        zero = self.weights.zero
+
+        def const_series(k):
+            return build.function(f"const{render(k)}", 0, lambda: k, ())
+
+        def go(node):
+            if isinstance(node, GVar):
+                return node.name
+            if isinstance(node, GConst):
+                return build.empty if node.value == zero else const_series(node.value)
+            if isinstance(node, GFun):
+                fixed = [a.value if isinstance(a, GConst) else None for a in node.args]
+                open_args = tuple(go(a) for a in node.args if not isinstance(a, GConst))
+                if not open_args:
+                    return const_series(node.fn(*(a.value for a in node.args)))
+                if all(v is None for v in fixed):
+                    return build.function(node.label, len(node.args), node.fn, open_args)
+                label = node.label + "@" + ",".join(
+                    "_" if v is None else render(v) for v in fixed
+                )
+                fn = _fix_arguments(node.fn, fixed)
+                return build.function(label, len(open_args), fn, open_args)
+            raise TypeError(node)
+
+        return go(c)
+
+    def native_function(self, label, arity, fn, cs, build):
         return GFun(label, tuple(cs), fn)
 
-    def expression_action(self, c, wrap, collapse):
+    def expression_action(self, c, wrap, build):
         # Sums and the scalings built by act_left/act_right (one constant
         # factor) are linear in the leaves; anything built from other
-        # operations collapses to a single residual expression.
+        # operations is read back to a single residual expression.
         def go(node):
             if isinstance(node, GFun) and node.fn is self.weights.plus:
                 return GFun(node.label, tuple(go(a) for a in node.args), node.fn)
@@ -707,12 +764,20 @@ class GenExprContainer(EffectContainer):
                 return GVar(wrap(node.name))
             if node == self.neutral:
                 return node
-            return GVar(wrap(collapse(node)))
+            return GVar(wrap(self.read_back(node, build)))
 
         return go(c)
 
     def __repr__(self):
         return f"GenExprContainer({self.weights.name})"
+
+
+def _fix_arguments(fn, fixed):
+    def applied(*xs):
+        it = iter(xs)
+        return fn(*(v if v is not None else next(it) for v in fixed))
+
+    return applied
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .automata import (
     _dot_starts,
     _dot_states,
     _memo,
+    _require,
     _weighed_by,
 )
 from .util import UNIT, UnsupportedOperation, render
@@ -162,8 +163,7 @@ class BottomUpDetTA(BottomUpContainerTA):
 def bu_determinize(auto: BottomUpContainerTA) -> BottomUpDetTA:
     """Subset construction for variable-free finite-set tree automata:
     delta(f, (Q1..Qn)) is the union over all member tuples."""
-    if not isinstance(auto.container, FiniteSetContainer):
-        raise UnsupportedOperation("bu_determinize needs the finite-set container")
+    _require(auto, FiniteSetContainer, "bu_determinize")
     if auto.init is not None:
         raise UnsupportedOperation("determinization is restricted to variable-free automata")
 

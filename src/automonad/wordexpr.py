@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 
 from .algebra import BOOLEANS, StarSemiring
@@ -25,20 +26,7 @@ from .automata import (
     scale_right,
     union,
 )
-from .containers import (
-    BAnd,
-    BConst,
-    BNot,
-    BOr,
-    BVar,
-    BoolExprContainer,
-    EffectContainer,
-    FiniteSetContainer,
-    GConst,
-    GFun,
-    GVar,
-    GenExprContainer,
-)
+from .containers import EffectContainer
 from .util import Scanner, UnsupportedOperation, render
 
 # ---------------------------------------------------------------------------
@@ -602,78 +590,6 @@ def position_automaton(e: WordExpression, container: EffectContainer) -> WordAut
 # ---------------------------------------------------------------------------
 
 
-def _concat_right(container, c, e2):
-    """Right action of an expression on a container of expressions."""
-    return container.expression_action(
-        c, lambda d: concat(d, e2), lambda sub: collapse_to_expression(container, sub)
-    )
-
-
-def collapse_to_expression(container: EffectContainer, c) -> WordExpression:
-    """Contract a container of expressions to a single expression.
-
-    Boolean and function expression trees are read back node by node; any
-    other container is the sum of its elements, each scaled by its
-    `element_weight` unless that is one (so absence is the empty expression)."""
-    if isinstance(container, BoolExprContainer):
-        def go(node):
-            if isinstance(node, BVar):
-                return node.name
-            if isinstance(node, BConst):
-                return neg(EMPTY) if node.value else EMPTY
-            if isinstance(node, BNot):
-                return neg(go(node.arg))
-            if isinstance(node, BAnd):
-                terms = [go(a) for a in node.args]
-                out = terms[0]
-                for t in terms[1:]:
-                    out = inter(out, t)
-                return out
-            if isinstance(node, BOr):
-                return _sum_of([go(a) for a in node.args])
-            raise TypeError(node)
-
-        return go(c)
-    if isinstance(container, GenExprContainer):
-        zero = container.weights.zero
-
-        def const_series(k):
-            # a 0-ary function operator denotes the constant series k
-            return Op(FunctionOp(f"const{render(k)}", 0, lambda k=k: k), ())
-
-        def gog(node):
-            if isinstance(node, GVar):
-                return node.name
-            if isinstance(node, GConst):
-                return EMPTY if node.value == zero else const_series(node.value)
-            if isinstance(node, GFun):
-                fixed = [a.value if isinstance(a, GConst) else None for a in node.args]
-                open_args = tuple(gog(a) for a in node.args if not isinstance(a, GConst))
-                if not open_args:
-                    return const_series(node.fn(*(a.value for a in node.args)))
-                if all(v is None for v in fixed):
-                    return Op(FunctionOp(node.label, len(node.args), node.fn), open_args)
-                label = node.label + "@" + ",".join(
-                    "_" if v is None else render(v) for v in fixed
-                )
-                fn = _fix_arguments(node.fn, fixed)
-                return Op(FunctionOp(label, len(open_args), fn), open_args)
-            raise TypeError(node)
-
-        return gog(c)
-    one = container.weights.one
-    weighted = [(x, container.element_weight(c, x)) for x in container.support(c)]
-    return _sum_of([x if k == one else mult_l(k, x) for x, k in weighted])
-
-
-def _fix_arguments(fn, fixed):
-    def applied(*xs):
-        it = iter(xs)
-        return fn(*(v if v is not None else next(it) for v in fixed))
-
-    return applied
-
-
 def _sum_of(terms):
     if not terms:
         return EMPTY
@@ -681,6 +597,23 @@ def _sum_of(terms):
     for t in terms[1:]:
         out = plus(out, t)
     return out
+
+
+# The expression operators a container reads its configurations back through
+# (`EffectContainer.read_back`).
+EXPRESSIONS = SimpleNamespace(
+    empty=EMPTY,
+    sum=_sum_of,
+    scale=mult_l,
+    neg=neg,
+    inter=inter,
+    function=lambda label, arity, fn, operands: Op(FunctionOp(label, arity, fn), operands),
+)
+
+
+def _concat_right(container, c, e2):
+    """Right action of an expression on a container of expressions."""
+    return container.expression_action(c, lambda d: concat(d, e2), EXPRESSIONS)
 
 
 def monadic_derive(sym, e: WordExpression, container: EffectContainer):
@@ -715,29 +648,15 @@ def monadic_derive(sym, e: WordExpression, container: EffectContainer):
         return container.act_right(monadic_derive(sym, e.operands[0], container), op.weight)
     if isinstance(op, Not):
         _require_boolean(w, "negation")
-        d = monadic_derive(sym, e.operands[0], container)
-        native = container.native_not(d)
-        if native is not None:
-            return native
-        return container.unit(neg(collapse_to_expression(container, d)))
+        return container.native_not(monadic_derive(sym, e.operands[0], container), EXPRESSIONS)
     if isinstance(op, Inter):
         _require_boolean(w, "intersection")
         d1 = monadic_derive(sym, e.operands[0], container)
         d2 = monadic_derive(sym, e.operands[1], container)
-        native = container.native_and(d1, d2)
-        if native is not None:
-            return native
-        return container.unit(
-            inter(collapse_to_expression(container, d1), collapse_to_expression(container, d2))
-        )
+        return container.native_and(d1, d2, EXPRESSIONS)
     if isinstance(op, FunctionOp):
         ds = [monadic_derive(sym, x, container) for x in e.operands]
-        native = container.native_function(op.label, op.arity, op.fn, ds)
-        if native is not None:
-            return native
-        return container.unit(
-            Op(op, tuple(collapse_to_expression(container, d) for d in ds))
-        )
+        return container.native_function(op.label, op.arity, op.fn, ds, EXPRESSIONS)
     raise TypeError(f"unknown operator {op!r}")
 
 
@@ -850,8 +769,9 @@ def inductive_automaton(e: WordExpression, container: EffectContainer) -> WordAu
     """Structural construction over the automaton combinators.
 
     Raises UnsupportedOperation for custom function operators, which have no
-    inductive reading, for negation outside the set container and for
-    intersection over non-boolean weights."""
+    inductive reading, and for intersection over non-boolean weights.
+    Negation determinizes its operand, so outside the set container
+    `determinize` raises it."""
     w = container.weights
 
     def go(node) -> WordAutomaton:
@@ -899,8 +819,6 @@ def inductive_automaton(e: WordExpression, container: EffectContainer) -> WordAu
             return intersection(go(node.operands[0]), go(node.operands[1]))
         if isinstance(op, Not):
             _require_boolean(w, "negation")
-            if not isinstance(container, FiniteSetContainer):
-                raise UnsupportedOperation("negation needs the set container")
             comp = complement_complete_dfa(determinize(go(node.operands[0])))
 
             def delta(sym, subset):

@@ -258,8 +258,10 @@ EXITS = {
     ("weight", "word", ".".join("a" * 500), "a"): EXIT_PARSE,
     ("weight", "word", "+".join("a" * 1000), "a"): EXIT_PARSE,
     ("weight", "tree", " + ".join(["@f(())"] * 1000), "f(a)"): EXIT_PARSE,
-    ("random", "word", "--size", "-1"): 0,
-    ("build", "word", "--random", "0", "-3"): 0,
+    ("random", "word", "--size", "-1"): EXIT_PARSE,
+    ("build", "word", "--random", "0", "-3"): EXIT_PARSE,
+    ("random", "tree", "--size", "-5"): EXIT_PARSE,
+    ("build", "tree", "--random", "0", "-2"): EXIT_PARSE,
     ("validate", "word", "--instances", "-3"): EXIT_PARSE,
     ("validate", "word", "--probes", "-5"): EXIT_PARSE,
     ("build", "word", "--caps", "-1", "a"): EXIT_PARSE,

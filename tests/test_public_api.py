@@ -168,3 +168,39 @@ def test_every_top_level_import_is_read():
     modules = [p for p in _modules("src/automonad", "tests") if p.name != "__init__.py"]
     unread = [entry for path in modules for entry in _unread_imports(path)]
     assert not unread, f"imported but never read: {unread}"
+
+
+def _container_classes():
+    """`EffectContainer` and every class of `containers.py` derived from it."""
+    classes = [
+        node
+        for node in ast.walk(ast.parse((PACKAGE / "containers.py").read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+    names, grown = {"EffectContainer"}, True
+    while grown:
+        new = {c.name for c in classes if any(getattr(b, "id", None) in names for b in c.bases)}
+        grown = bool(new - names)
+        names |= new
+    return names
+
+
+def test_no_container_type_check_outside_the_containers():
+    """The container interface is the only extension point: outside
+    `containers.py`, no `isinstance` names a container class.  A check
+    against a class held in a variable, as `automata._require` makes, is
+    how an algorithm states the one container it is written for."""
+    containers = _container_classes()
+    checks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "containers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _callee(node) == "isinstance" and len(node.args) == 2:
+                named = {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node.args[1])
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                }
+                checks += [f"{path.name}:{node.lineno} {name}" for name in sorted(named & containers)]
+    assert not checks, f"container type checks outside containers.py: {checks}"

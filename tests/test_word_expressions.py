@@ -1,9 +1,13 @@
+import contextlib
+import hashlib
+import io
 import itertools
 
 import pytest
 
 from automonad.algebra import BOOLEANS, INTEGERS, STR_CONCAT
 from automonad.automata import explore
+from automonad.cli import main
 from automonad.containers import (
     BOOL_EXPR,
     BTRUE,
@@ -28,6 +32,7 @@ from automonad.wordexpr import (
     BOOLEAN_OPS,
     EPSILON,
     EMPTY,
+    EXPRESSIONS,
     Epsilon,
     FunctionOp,
     GlushkovInit,
@@ -41,7 +46,6 @@ from automonad.wordexpr import (
     aci_normalize,
     brute_force_language,
     coerce_scalars,
-    collapse_to_expression,
     concat,
     derivation_automaton,
     expr_to_text,
@@ -288,53 +292,69 @@ class TestDerivation:
             assert len(result.states) <= len(alphabet) + 1
 
 
-class TestCollapseToExpression:
+class TestReadBack:
     A, B, C = Sym("a"), Sym("b"), Sym("c")
 
     def test_optional(self):
-        assert collapse_to_expression(OPTIONAL, None) == EMPTY
+        assert OPTIONAL.read_back(None, EXPRESSIONS) == EMPTY
         e = parse_expression("a.b")
-        assert collapse_to_expression(OPTIONAL, e) is e
+        assert OPTIONAL.read_back(e, EXPRESSIONS) is e
 
     def test_finite_set_sums_in_render_order(self):
         c = frozenset({self.C, star(self.A), self.B})
-        assert collapse_to_expression(FINITE_SET, frozenset()) == EMPTY
-        assert collapse_to_expression(FINITE_SET, c) == plus(plus(star(self.A), self.B), self.C)
+        assert FINITE_SET.read_back(frozenset(), EXPRESSIONS) == EMPTY
+        assert FINITE_SET.read_back(c, EXPRESSIONS) == plus(plus(star(self.A), self.B), self.C)
 
     def test_lin_comb_scales_all_but_unit_coefficients(self):
         c = INT_LIN.from_entries([(self.B, 3), (self.A, 1), (self.C, -2)])
         expected = plus(plus(self.A, mult_l(3, self.B)), mult_l(-2, self.C))
-        assert collapse_to_expression(INT_LIN, c) == expected
-        assert collapse_to_expression(INT_LIN, INT_LIN.neutral) == EMPTY
+        assert INT_LIN.read_back(c, EXPRESSIONS) == expected
+        assert INT_LIN.read_back(INT_LIN.neutral, EXPRESSIONS) == EMPTY
 
     def test_bool_expr_reads_back_nodes(self):
         c = bool_or(bool_and(BVar(self.A), BVar(self.B)), bool_not(BVar(self.C)))
-        assert collapse_to_expression(BOOL_EXPR, c) == plus(inter(self.A, self.B), neg(self.C))
-        assert collapse_to_expression(BOOL_EXPR, BTRUE) == neg(EMPTY)
-        assert collapse_to_expression(BOOL_EXPR, BOOL_EXPR.neutral) == EMPTY
+        assert BOOL_EXPR.read_back(c, EXPRESSIONS) == plus(inter(self.A, self.B), neg(self.C))
+        assert BOOL_EXPR.read_back(BTRUE, EXPRESSIONS) == neg(EMPTY)
+        assert BOOL_EXPR.read_back(BOOL_EXPR.neutral, EXPRESSIONS) == EMPTY
 
     def test_gen_expr_reads_back_nodes(self):
         G = gen_expr(INTEGERS)
         c = G.combine(GVar(self.A), G.act_left(3, GVar(self.B)))
-        out = collapse_to_expression(G, c)
+        out = G.read_back(c, EXPRESSIONS)
         assert expr_to_text(out) == "+(a,·@3,_(b))"
         scaled = Op(FunctionOp("·@3,_", 1, None), (self.B,))
         assert out == Op(FunctionOp("+", 2, None), (self.A, scaled))
-        assert collapse_to_expression(G, GConst(5)) == Op(FunctionOp("const5", 0, None), ())
+        assert G.read_back(GConst(5), EXPRESSIONS) == Op(FunctionOp("const5", 0, None), ())
         six = GFun("·", (GConst(2), GConst(3)), INTEGERS.times)
-        assert collapse_to_expression(G, six) == Op(FunctionOp("const6", 0, None), ())
-        assert collapse_to_expression(G, G.neutral) == EMPTY
+        assert G.read_back(six, EXPRESSIONS) == Op(FunctionOp("const6", 0, None), ())
+        assert G.read_back(G.neutral, EXPRESSIONS) == EMPTY
 
     def test_unweighted_containers_raise(self):
         pairs = monoid_pair(STR_CONCAT)
         with pytest.raises(UnsupportedOperation):
-            collapse_to_expression(pairs, pairs.unit(self.A))
+            pairs.read_back(pairs.unit(self.A), EXPRESSIONS)
         stacks = stack_context(FINITE_SET)
         with pytest.raises(UnsupportedOperation):
-            collapse_to_expression(stacks, stacks.unit(self.A))
+            stacks.read_back(stacks.unit(self.A), EXPRESSIONS)
 
     def test_deterministic_gives_its_element(self):
-        assert collapse_to_expression(DETERMINISTIC, self.A) is self.A
+        assert DETERMINISTIC.read_back(self.A, EXPRESSIONS) is self.A
+
+    def test_derivation_dumps_are_pinned(self):
+        # every derivative of a negation, an intersection or a non-linear
+        # gen_expr node is read back: the text of these dumps pins it
+        chunks = []
+        palettes, weights = ("simple", "scalar", "boolean"), ("bool", "int", "boolexpr", "genexpr")
+        for seed, palette, weight in itertools.product(range(8), palettes, weights):
+            argv = ["build", "word", "--random", str(seed), "12", "--palette", palette]
+            argv += ["--method", "derivation", "--weights", weight, "--format", "dump"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            chunks.append(f"{' '.join(argv)}\n{code}\n{out.getvalue()}")
+        assert hashlib.sha256("".join(chunks).encode()).hexdigest() == (
+            "50c607c04637ba672ea865f0a995f3f6403c0ada0be4cf7d27bafb22e86edded"
+        )
 
 
 class TestAciNormalize:
