@@ -31,7 +31,7 @@ from .automata import (
     ExplorationResult,
     ParallelAutomaton,
     PushdownAutomaton,
-    TransitionRecord,
+    Transition,
     WordAutomaton,
     afa_to_complete_dfa,
     afa_to_nfa,

@@ -110,6 +110,11 @@ class RankedSymbol:
         return f"{self.name}/{self.arity}"
 
 
+@render.register(RankedSymbol)
+def _render_ranked(s):
+    return s.name
+
+
 class RankedTree:
     """Base class; a tree is either the hole or a node."""
 

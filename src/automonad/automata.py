@@ -11,7 +11,7 @@ same weight, because `finality_step` is an algebra of the container's monad.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .algebra import product_monoid, INT_SUM, TUPLE_CONCAT
 from .containers import (
@@ -190,28 +190,27 @@ def complete_dfa(initial, delta: Callable, final: Callable) -> WordAutomaton:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class Transition(NamedTuple):
+    """One explored transition: `source` is a word state, or the tuple of
+    states a tree transition fires from; `target` is the container value."""
+
     source: Any
     symbol: Any
-    target: Any  # container value
-    rendered: str
-
-    def dump_line(self) -> str:
-        return f"{render(self.source)} --{render(self.symbol)}--> {self.rendered}"
+    target: Any
 
 
 @dataclass
 class ExplorationResult:
     states: list
-    transitions: list[TransitionRecord]
+    transitions: list[Transition]
     truncated: bool
-    initial: Any
     container: EffectContainer
-    finals: dict = field(default_factory=dict)
+    finals: dict  # state -> final weight, or variable weight for top-down trees
+    initial: Any = None  # the initial configuration, where there is one
 
     def dump(self) -> str:
-        return "\n".join(sorted(t.dump_line() for t in self.transitions))
+        lines = (f"{render(s)} --{render(sym)}--> {render(t)}" for s, sym, t in self.transitions)
+        return "\n".join(sorted(lines))
 
 
 def _breadth_first(roots, successors: Callable, max_states: int):
@@ -220,7 +219,7 @@ def _breadth_first(roots, successors: Callable, max_states: int):
 
     Each reached state is expanded once.  A root or target beyond
     `max_states` is skipped and sets the truncated flag.  Returns the reached
-    states in discovery order and that flag."""
+    states in `render` order and that flag."""
     seen: dict = {}
     truncated = False
 
@@ -239,7 +238,7 @@ def _breadth_first(roots, successors: Callable, max_states: int):
     worklist = admit(roots)
     for state in worklist:  # grows as the loop admits targets
         worklist += admit(successors(state))
-    return list(seen), truncated
+    return sorted(seen, key=render), truncated
 
 
 def explore(
@@ -251,25 +250,17 @@ def explore(
     configuration.  Each (state, symbol) transition is computed once; the
     truncated flag is set when a cap bites."""
     container = auto.container
-    transitions: list[TransitionRecord] = []
+    transitions: list[Transition] = []
 
     def successors(state):
         for sym in alphabet:
             value = auto.delta(sym, state)
-            transitions.append(TransitionRecord(state, sym, value, render(value)))
+            transitions.append(Transition(state, sym, value))
             yield from container.support(value)
 
-    reached, truncated = _breadth_first(container.support(auto.initial), successors, max_states)
-    states = sorted(reached, key=render)
+    states, truncated = _breadth_first(container.support(auto.initial), successors, max_states)
     finals = {s: auto.final(s) for s in states}
-    return ExplorationResult(
-        states=states,
-        transitions=transitions,
-        truncated=truncated,
-        initial=auto.initial,
-        container=container,
-        finals=finals,
-    )
+    return ExplorationResult(states, transitions, truncated, container, finals, auto.initial)
 
 
 def to_dot(result: ExplorationResult) -> str:
@@ -278,13 +269,13 @@ def to_dot(result: ExplorationResult) -> str:
     ids, lines = _dot_states(result.states, result.finals, _accepting_node)
     lines += _dot_starts(ids, container, result.initial)
     edges = []
-    for t in result.transitions:
-        if t.source not in ids:
+    for source, symbol, value in result.transitions:
+        if source not in ids:
             continue
-        for target in container.support(t.target):
+        for target in container.support(value):
             if target in ids:
-                label = _dot_label(render(t.symbol), container.element_weight(t.target, target))
-                edges.append(f'  {ids[t.source]} -> {ids[target]} [label="{label}"];')
+                label = _dot_label(render(symbol), container.element_weight(value, target))
+                edges.append(f'  {ids[source]} -> {ids[target]} [label="{label}"];')
     return _dot_graph("automaton", "LR", lines + sorted(edges))
 
 

@@ -74,7 +74,7 @@ def _explored(auto, alphabet, caps: int):
     else:
         result, dot = tree_explore(auto, alphabet, max_states=caps), tree_to_dot
     if result.truncated:
-        raise CapExceeded(f"state cap {caps} exceeded", partial=result)
+        raise CapExceeded(f"state cap {caps} exceeded")
     return result, dot
 
 

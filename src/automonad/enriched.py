@@ -135,11 +135,6 @@ def _render_estar(e):
     return f"({render(e.body)})*{render(e.var)}"
 
 
-@render.register(RankedSymbol)
-def _render_ranked(s):
-    return s.name
-
-
 def _matches(atom, symbol) -> bool:
     """Does an input symbol match this (possibly positioned) atom?"""
     base = atom.symbol.base if isinstance(atom.symbol, PosSym) else atom.symbol

@@ -19,6 +19,8 @@ from .containers import DETERMINISTIC, EffectContainer, FiniteSetContainer, lin_
 from .algebra import INTEGERS
 from .automata import (
     DEFAULT_MAX_STATES,
+    ExplorationResult,
+    Transition,
     _MISSING,
     _StateIds,
     _accepting_node,
@@ -398,23 +400,10 @@ def _compose(op: WeightFun, funs: list[WeightFun], arities: list[int], total: in
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TreeExploration:
-    states: list
-    # (source tuple, symbol, rendered target, container value)
-    transitions: list
-    truncated: bool
-    container: EffectContainer
-    # state -> final weight (bottom-up) or variable-weight value (top-down)
-    finals: dict = field(default_factory=dict)
-    initial: Any = None  # the initial configuration of a top-down automaton
-
-    def dump(self) -> str:
-        lines = [
-            f"({','.join(render(s) for s in src)}) --{sym.name}--> {rendered}"
-            for src, sym, rendered, _value in self.transitions
-        ]
-        return "\n".join(sorted(lines))
+class TreeExploration(ExplorationResult):
+    """The exploration of a tree automaton: a transition's `source` is the
+    tuple of states it fires from, and `finals` holds each state's final
+    weight (bottom-up) or variable weight (top-down)."""
 
 
 def tree_explore(
@@ -431,7 +420,7 @@ def tree_explore(
 
     def fire(symbol, combo):
         value = auto.delta(symbol, combo)
-        transitions.append((combo, symbol, render(value), value))
+        transitions.append(Transition(combo, symbol, value))
         return cont.support(value)
 
     def successors(state):
@@ -448,8 +437,7 @@ def tree_explore(
                     yield from fire(symbol, head + (state,) + tail)
 
     leaves = [t for sym in alphabet if sym.arity == 0 for t in fire(sym, ())]
-    reached, truncated = _breadth_first(leaves, successors, max_states)
-    states = sorted(reached, key=render)
+    states, truncated = _breadth_first(leaves, successors, max_states)
     finals = {s: auto.final(s) for s in states}
     return TreeExploration(states, transitions, truncated, cont, finals)
 
@@ -467,11 +455,10 @@ def td_explore(
     def successors(state):
         for symbol in alphabet:
             value = auto.delta(symbol, state)
-            transitions.append(((state,), symbol, render(value), value))
+            transitions.append(Transition((state,), symbol, value))
             yield from (t for vect in cont.support(value) for t in vect)
 
-    reached, truncated = _breadth_first(cont.support(auto.initial), successors, max_states)
-    states = sorted(reached, key=render)
+    states, truncated = _breadth_first(cont.support(auto.initial), successors, max_states)
     finals = {s: auto.var_weight(s) for s in states}
     return TreeExploration(states, transitions, truncated, cont, finals, auto.initial)
 
@@ -491,7 +478,7 @@ def td_to_dot(result: TreeExploration) -> str:
     lines += _dot_starts(ids, cont, result.initial)
     fan = 0
     edges = []
-    for (src,), symbol, _rendered, value in sorted(result.transitions, key=_dot_order):
+    for (src,), symbol, value in sorted(result.transitions, key=_dot_order):
         for vect in cont.support(value):
             label = _dot_label(symbol.name, cont.element_weight(value, vect))
             if len(vect) == 0:
@@ -519,7 +506,7 @@ def tree_to_dot(result: TreeExploration) -> str:
     ids, lines = _dot_states(result.states, result.finals, _accepting_node)
     edges = []
     fan = 0
-    for src, symbol, _rendered, value in sorted(result.transitions, key=_dot_order):
+    for src, symbol, value in sorted(result.transitions, key=_dot_order):
         targets = [
             (ids[t], _dot_label(symbol.name, cont.element_weight(value, t)))
             for t in cont.support(value)
@@ -546,5 +533,4 @@ def tree_to_dot(result: TreeExploration) -> str:
 
 def _dot_order(transition):
     """Sort key of an explored tree transition: source, symbol, target."""
-    src, symbol, rendered, _value = transition
-    return render(src), symbol.name, rendered
+    return tuple(map(render, transition))

@@ -90,11 +90,7 @@ class Scanner:
 
 
 class CapExceeded(RuntimeError):
-    """An exploration budget was exhausted; carries the partial result."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """An exploration budget was exhausted."""
 
 
 @singledispatch

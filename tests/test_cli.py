@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +17,6 @@ from automonad.cli import (
     main,
 )
 from automonad.validate import CONSTRUCTIONS, WEIGHTS, validate_trees, validate_words
-
-
-def run_cli(*argv, capsys=None):
-    code = main(list(argv))
-    return code
 
 
 class TestBuild:
@@ -90,6 +87,32 @@ class TestBuild:
             '  __acc1 [shape=point, label=""];\n'
             '  q1 -> __acc1 [label="a/1"];\n'
             "}\n"
+        )
+
+    def test_build_outputs_are_pinned(self):
+        # DOT text and word and tree dumps of every method and weights name:
+        # exit code and stdout, hashed
+        sources = [
+            ["word", "--random", str(seed), "12", "--palette", palette]
+            for seed in range(4)
+            for palette in ("simple", "scalar", "boolean")
+        ]
+        sources += [["tree", "--random", str(seed), "8"] for seed in range(4)]
+        methods = ("positions", "derivation", "inductive")
+        weights = ("bool", "int", "boolexpr", "genexpr")
+        chunks = []
+        for source, method, weight, fmt in itertools.product(
+            sources, methods, weights, ("dump", "dot")
+        ):
+            argv = ["build", *source, "--method", method, "--weights", weight]
+            argv += ["--format", fmt, "--caps", "200"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            chunks.append(f"{' '.join(argv)}\n{code}\n{out.getvalue()}")
+        assert len(chunks) == 384
+        assert hashlib.sha256("".join(chunks).encode()).hexdigest() == (
+            "f8a551936627b6ef0c4e6110a00e6eebd3f395d243e94bff67c58b885427fa78"
         )
 
     def test_parse_error_exit_code(self, capsys):

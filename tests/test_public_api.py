@@ -30,19 +30,22 @@ def _defined(statement):
     return set()
 
 
-def _used_in_src():
-    """Names read by some top-level statement of a module that does not
-    define them (re-exports in `__init__.py` do not count)."""
+def _names_read(paths):
+    """Names read by some top-level statement of the modules at `paths` that
+    does not define them."""
     used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         for statement in ast.parse(path.read_text()).body:
             nodes = list(ast.walk(statement))
             names = {n.id for n in nodes if isinstance(n, ast.Name)}
             names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
             used |= names - _defined(statement)
     return used
+
+
+def _used_in_src():
+    """Names read by the package (re-exports in `__init__.py` do not count)."""
+    return _names_read(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _read_outside_the_tests():
@@ -72,6 +75,22 @@ def test_every_public_definition_has_a_reader_outside_the_tests():
         and not read(statement.name)
     ]
     assert not unused, f"defined but only read by tests: {unused}"
+
+
+def test_every_test_helper_is_named_elsewhere_in_the_tests():
+    """A module-level function of the tests that is not a test is a helper:
+    some other statement of the tests must name it."""
+    modules = list(_modules("tests"))
+    read = _names_read(modules)
+    unused = [
+        f"{path.name}:{statement.name}"
+        for path in modules
+        for statement in ast.parse(path.read_text()).body
+        if isinstance(statement, ast.FunctionDef)
+        and not statement.name.startswith("test_")
+        and statement.name not in read
+    ]
+    assert not unused, f"test helpers that nothing names: {unused}"
 
 
 def _modules(*folders):

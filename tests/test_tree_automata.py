@@ -15,6 +15,7 @@ from automonad.algebra import (
     parse_tree,
     subtrees,
 )
+from automonad.automata import WordAutomaton, explore
 from automonad.containers import BOOL_EXPR, DETERMINISTIC, FINITE_SET, gen_expr, lin_comb
 from automonad.enriched import (
     DEFAULT_TREE_ALPHABET,
@@ -417,6 +418,37 @@ class TestExploration:
         dot = tree_to_dot(tree_explore(BottomUpContainerTA(ints, None, delta, bool), [A, F]))
         assert '__leaf0 -> q0 [label="a/2"];' in dot
         assert 'q0 -> q1 [label="f/1"];' in dot
+
+    def test_explorers_render_no_transition_value(self):
+        # text is made at the edge: exploring renders no transition value,
+        # and `dump` renders each
+        rendered = []
+
+        class Counted(frozenset):
+            pass
+
+        render.register(Counted, lambda value: rendered.append(value) or render(frozenset(value)))
+        word = WordAutomaton(FINITE_SET, frozenset({0}), lambda _sym, q: Counted({1 - q}), bool)
+        bottom_up = BottomUpContainerTA(
+            FINITE_SET, None, lambda _sym, states: Counted({len(states)}), bool
+        )
+        top_down = TopDownContainerTA(
+            FINITE_SET,
+            frozenset({"p"}),
+            lambda sym, _q: Counted({("p",) * sym.arity}),
+            lambda _q: FINITE_SET.unit(UNIT),
+        )
+        results = [
+            explore(word, "ab"),
+            tree_explore(bottom_up, ALPHABET),
+            td_explore(top_down, ALPHABET),
+        ]
+        assert all(result.transitions for result in results)
+        assert rendered == []
+        for result in results:
+            rendered.clear()
+            result.dump()
+            assert len(rendered) == len(result.transitions)
 
     def test_td_explore_occurrence(self):
         occ = occurrence_automaton(parse_tree("g(a,b)"))
