@@ -7,6 +7,7 @@ exactly k holes, consumed left to right).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -56,8 +57,8 @@ INTEGERS = StarSemiring(
     "int",
     zero=0,
     one=1,
-    plus=lambda a, b: a + b,
-    times=lambda a, b: a * b,
+    plus=operator.add,
+    times=operator.mul,
     star=_int_star,
 )
 

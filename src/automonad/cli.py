@@ -2,7 +2,8 @@
 harnesses, generate random expressions.
 
 Exit codes: 0 success (validate: all pass), 1 validation failure, 2 parse
-error (expressions, trees, alphabets, negative sizes), 3 unsupported: an expression
+error (expressions, trees, alphabets, negative sizes, `--palette` for a
+tree, whose expressions have no palettes), 3 unsupported: an expression
 without a reading in the method (`~a` for `positions`, `~` for `inductive`
 under `boolexpr` or `genexpr`) or a method of another kind (`weight word
 --method occurrence`), 4 exploration cap exceeded, 5 undefined weight (e.g.
@@ -55,7 +56,7 @@ def _expression(args):
         if size < 0:
             raise ExprSyntaxError("--random SIZE must not be negative", 0)
         if args.kind == "word":
-            return wx.random_expression(seed, size, args.alphabet, PALETTES[args.palette])
+            return wx.random_expression(seed, size, args.alphabet, PALETTES[args.palette or "simple"])
         return en.random_tree_expression(seed, size, args.alphabet)
     if args.expression is None:
         raise ExprSyntaxError("no expression given (pass one, or --random SEED SIZE)", 0)
@@ -137,7 +138,7 @@ def cmd_random(args) -> int:
     if args.size < 0:
         raise ExprSyntaxError("--size must not be negative", 0)
     if args.kind == "word":
-        e = wx.random_expression(args.seed, args.size, args.alphabet, PALETTES[args.palette])
+        e = wx.random_expression(args.seed, args.size, args.alphabet, PALETTES[args.palette or "simple"])
         print(wx.expr_to_text(e))
     else:
         e = en.random_tree_expression(args.seed, args.size, args.alphabet)
@@ -155,7 +156,7 @@ def _add_expression_source(parser, **expression):
     """The expression positional with --random and --palette, its alternative."""
     parser.add_argument("expression", **expression)
     parser.add_argument("--random", nargs=2, type=int, metavar=("SEED", "SIZE"))
-    parser.add_argument("--palette", default="simple", choices=list(PALETTES))
+    parser.add_argument("--palette", choices=list(PALETTES), help="word expressions only")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="print a random expression")
     _add_common(p)
     p.add_argument("--size", type=int, default=10)
-    p.add_argument("--palette", default="simple", choices=list(PALETTES))
+    p.add_argument("--palette", choices=list(PALETTES), help="word expressions only")
     p.set_defaults(fn=cmd_random)
 
     parser.commands = sub.choices  # subcommand parsers by name, for `main`
@@ -207,6 +208,8 @@ def main(argv=None) -> int:
     command = parser.commands.get(argv[0]) if argv else None
     args = parser.parse_args(argv) if command is None else command.parse_intermixed_args(argv[1:])
     try:
+        if args.kind == "tree" and getattr(args, "palette", None) is not None:
+            raise ExprSyntaxError("--palette is for word expressions only", 0)
         text = DEFAULT_ALPHABETS[args.kind] if args.alphabet is None else args.alphabet
         parse_alphabet = _parse_word_alphabet if args.kind == "word" else _parse_tree_alphabet
         args.alphabet = parse_alphabet(text)

@@ -175,7 +175,7 @@ class FiniteSetContainer(EffectContainer):
         return frozenset(out)
 
     def map(self, f, c):
-        return frozenset(f(x) for x in c)
+        return frozenset(map(f, c))
 
     @property
     def neutral(self):
@@ -205,40 +205,28 @@ class FiniteSetContainer(EffectContainer):
 # ---------------------------------------------------------------------------
 
 
-class LinComb:
-    """Finite map element -> nonzero coefficient, in canonical form."""
+class LinComb(dict):
+    """Finite map element -> nonzero coefficient, in canonical form: a `dict`
+    never mutated once a container operation returns it, so operations may
+    return an operand unchanged.  It equals only another `LinComb`."""
 
-    __slots__ = ("_d", "_hash")
-
-    def __init__(self, entries: dict):
-        self._d = dict(entries)
-        self._hash = None
-
-    def items(self):
-        return self._d.items()
+    __slots__ = ("_hash",)
 
     def sorted_items(self):
-        return sorted(self._d.items(), key=lambda kv: render(kv[0]))
-
-    def get(self, key, default=None):
-        return self._d.get(key, default)
-
-    def __contains__(self, key):
-        return key in self._d
-
-    def __len__(self):
-        return len(self._d)
-
-    def __iter__(self):
-        return iter(self._d)
+        return sorted(self.items(), key=lambda kv: render(kv[0]))
 
     def __eq__(self, other):
-        return isinstance(other, LinComb) and self._d == other._d
+        return isinstance(other, LinComb) and dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._d.items()))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.items()))
+            return self._hash
 
     def __repr__(self):
         return "LinComb(" + render(self) + ")"
@@ -246,7 +234,7 @@ class LinComb:
 
 @render.register(LinComb)
 def _render_lincomb(value):
-    if not len(value):
+    if not value:
         return "0"
     return " + ".join(f"{render(k)}·{render(x)}" for x, k in value.sorted_items())
 
@@ -254,19 +242,25 @@ def _render_lincomb(value):
 class LinCombContainer(EffectContainer):
     """Free semimodule over a semiring: weighted nondeterminism."""
 
+    neutral = LinComb()
+
     def __init__(self, weights: StarSemiring):
         self.weights = weights
 
-    def _make(self, entries: dict) -> LinComb:
+    def _make(self, out: LinComb) -> LinComb:
+        """`out`, a fresh accumulator, with its zero coefficients deleted."""
         zero = self.weights.zero
-        return LinComb({x: k for x, k in entries.items() if k != zero})
+        if zero in out.values():
+            for x in [x for x, k in out.items() if k == zero]:
+                del out[x]
+        return out
 
     def unit(self, x):
         return LinComb({x: self.weights.one})
 
     def bind(self, c, f):
         plus, times, zero = self.weights.plus, self.weights.times, self.weights.zero
-        out: dict = {}
+        out = LinComb()
         for x, k in c.items():
             for y, k2 in f(x).items():
                 out[y] = plus(out.get(y, zero), times(k, k2))
@@ -274,30 +268,28 @@ class LinCombContainer(EffectContainer):
 
     def map(self, f, c):
         plus, zero = self.weights.plus, self.weights.zero
-        out: dict = {}
+        out = LinComb()
         for x, k in c.items():
             y = f(x)
             out[y] = plus(out.get(y, zero), k)
         return self._make(out)
 
-    @property
-    def neutral(self):
-        return LinComb({})
-
     def combine(self, a, b):
+        if not (a and b):
+            return a or b
         plus, zero = self.weights.plus, self.weights.zero
-        out = dict(a.items())
+        out = LinComb(a)
         for x, k in b.items():
             out[x] = plus(out.get(x, zero), k)
         return self._make(out)
 
     def act_left(self, w, c):
         times = self.weights.times
-        return self._make({x: times(w, k) for x, k in c.items()})
+        return c if w == self.weights.one else self._make(LinComb({x: times(w, k) for x, k in c.items()}))
 
     def act_right(self, c, w):
         times = self.weights.times
-        return self._make({x: times(k, w) for x, k in c.items()})
+        return c if w == self.weights.one else self._make(LinComb({x: times(k, w) for x, k in c.items()}))
 
     def finality_step(self, c, final):
         plus, times, zero = self.weights.plus, self.weights.times, self.weights.zero
@@ -311,7 +303,7 @@ class LinCombContainer(EffectContainer):
 
     def from_entries(self, entries) -> LinComb:
         plus, zero = self.weights.plus, self.weights.zero
-        out: dict = {}
+        out = LinComb()
         for x, k in entries:
             out[x] = plus(out.get(x, zero), k)
         return self._make(out)

@@ -296,6 +296,8 @@ EXITS = {
     ("weight", "tree", "--method", "occurrence", "g(_,_)"): EXIT_PARSE,
     ("build", "word", "--method", "inductive", "--weights", "genexpr", "a*"): 0,
     ("build", "word", "--method", "inductive", "--weights", "boolexpr", "~a"): EXIT_UNSUPPORTED,
+    ("random", "tree", "--seed", "1", "--size", "4"): 0,
+    ("random", "tree", "--seed", "1", "--size", "4", "--palette", "boolean"): EXIT_PARSE,
 }
 HOSTILE += [list(argv) for argv in EXITS]
 EXPRESSIONS = {"word": ("[2]:a*.b", "ab"), "tree": ("@a .() (@f(()))*()", "f(a)")}
@@ -404,6 +406,25 @@ class TestRandom:
             assert main(["random", "word", "--seed", seed, "--size", "8", "--palette", "scalar"]) == 0
             text = capsys.readouterr().out.strip()
             assert expr_to_text(parse_expression(text)) == text
+
+    def test_word_palette_defaults_to_simple(self, capsys):
+        assert main(["random", "word", "--seed", "4", "--size", "12"]) == 0
+        default = capsys.readouterr().out
+        assert main(["random", "word", "--seed", "4", "--size", "12", "--palette", "simple"]) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random", "tree", "--seed", "1", "--size", "4"],
+            ["build", "tree", "--random", "1", "4"],
+            ["weight", "tree", "--random", "1", "4", "a"],
+            ["weight", "tree", "--method", "occurrence", "g(a,a)", "g(_,_)"],
+        ],
+    )
+    def test_tree_palette_is_refused(self, argv, capsys):
+        assert main(argv + ["--palette", "boolean"]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error: --palette is for word expressions only")
 
     def test_tree_output_reparses(self, capsys):
         from automonad.enriched import parse_tree_expression, expression_to_text

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from automonad.containers import (
     stack_context,
 )
 from automonad.util import UNIT, UnsupportedOperation, render
+from automonad.validate import validate_trees, validate_words
 
 INT_LIN = lin_comb(INTEGERS)
 
@@ -155,6 +157,60 @@ class TestExamples:
         assert all(k != 0 for _x, k in c.items())
         doubled = INT_LIN.combine(c, INT_LIN.act_left(-1, c))
         assert len(doubled) == 0
+
+
+# coefficients in -3..3 over five elements, so that sums and products cancel
+ELEMENTS = st.integers(0, 4)
+ENTRIES = st.lists(st.tuples(ELEMENTS, st.integers(-3, 3)), max_size=6)
+SETS = st.frozensets(ELEMENTS)
+ROWS = st.lists(ENTRIES, min_size=5, max_size=5)
+TARGETS = st.lists(ELEMENTS, min_size=5, max_size=5)
+
+
+def _checked_operations(container, a, b, rows, targets, w, copy):
+    """Every operation on `a` and `b` (`rows[x]` is the bind row of x, and
+    `targets[x]` its image under map): no input changes, as `copy` sees it,
+    and equal results hash equal."""
+    inputs = [a, b, *rows]
+    before = [copy(v) for v in inputs]
+    results = [
+        container.bind(a, rows.__getitem__),
+        container.map(targets.__getitem__, a),
+        container.combine(a, b),
+        container.combine(b, a),
+        container.act_left(w, a),
+        container.act_right(a, w),
+    ]
+    assert [copy(v) for v in inputs] == before
+    for r, s in itertools.product(results, repeat=2):
+        assert r != s or hash(r) == hash(s)
+    return results
+
+
+class TestSharedValues:
+    """Container values are never mutated once returned, so operations may
+    share them: an operation builds a fresh value or returns an operand."""
+
+    @given(ENTRIES, ENTRIES, ROWS, TARGETS, st.integers(-3, 3))
+    def test_lin_comb_operations_leave_inputs_and_cancel(self, a, b, rows, targets, w):
+        entries = [a, b, *rows]
+        kept = [list(e) for e in entries]
+        a, b, *rows = [INT_LIN.from_entries(e) for e in entries]
+        assert entries == kept
+        results = _checked_operations(INT_LIN, a, b, rows, targets, w, dict)
+        for r in [a, b, *results]:
+            assert 0 not in r.values()
+            plain = dict(r)
+            assert not r == plain and r != plain and not plain == r and plain != r
+
+    @given(SETS, SETS, st.lists(SETS, min_size=5, max_size=5), TARGETS, st.booleans())
+    def test_finite_set_operations_leave_inputs(self, a, b, rows, targets, w):
+        _checked_operations(FINITE_SET, a, b, rows, targets, w, set)
+
+    def test_the_shared_neutral_stays_empty_through_the_harnesses(self):
+        assert validate_words(instances=4, probes=20, seed=0).ok
+        assert validate_trees(instances=4, probes=20, seed=0).ok
+        assert len(INT_LIN.neutral) == 0 and INT_LIN.neutral is lin_comb(INTEGERS).neutral
 
 
 class TestBoolExpr:
