@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .util import MAX_NESTING, ExprSyntaxError, WeightError, render
+from .util import MAX_NESTING, ExprSyntaxError, WeightError
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,8 @@ class RankedSymbol:
     def __repr__(self):
         return f"{self.name}/{self.arity}"
 
-
-@render.register(RankedSymbol)
-def _render_ranked(s):
-    return s.name
+    def __str__(self):
+        return self.name
 
 
 class RankedTree:
@@ -193,16 +191,6 @@ class Node(RankedTree):
 
     def __repr__(self):
         return tree_to_text(self)
-
-
-@render.register(_Hole)
-def _render_hole(_value):
-    return "_"
-
-
-@render.register(Node)
-def _render_node(value):
-    return tree_to_text(value)
 
 
 def tree_to_text(t: RankedTree) -> str:

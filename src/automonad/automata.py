@@ -513,15 +513,8 @@ class StarNew:
 class StarOld:
     state: Any
 
-
-@render.register(StarNew)
-def _render_star_new(_s):
-    return "new"
-
-
-@render.register(StarOld)
-def _render_star_old(s):
-    return f"O:{render(s.state)}"
+    def __str__(self):
+        return f"O:{render(self.state)}"
 
 
 def kleene_star(auto: WordAutomaton) -> WordAutomaton:

@@ -116,20 +116,10 @@ def cmd_weight(args) -> int:
 def cmd_validate(args) -> int:
     if args.instances < 0 or args.probes < 0:
         raise ExprSyntaxError("--instances and --probes must not be negative", 0)
-    if args.kind == "word":
-        report = validate_words(
-            instances=args.instances,
-            probes=args.probes,
-            seed=args.seed,
-            alphabet=args.alphabet,
-        )
-    else:
-        report = validate_trees(
-            instances=args.instances,
-            probes=args.probes,
-            seed=args.seed,
-            alphabet=args.alphabet,
-        )
+    validate = {"word": validate_words, "tree": validate_trees}[args.kind]
+    report = validate(
+        instances=args.instances, probes=args.probes, seed=args.seed, alphabet=args.alphabet
+    )
     print(report.summary())
     return 0 if report.ok else EXIT_FAIL
 
@@ -149,7 +139,6 @@ def cmd_random(args) -> int:
 def _add_common(parser):
     parser.add_argument("kind", choices=("word", "tree"))
     parser.add_argument("--alphabet", default=None, help="word letters or name/arity pairs")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_expression_source(parser, **expression):
@@ -185,12 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="cross-method comparison harness")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--probes", type=int, default=100)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("random", help="print a random expression")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=10)
     p.add_argument("--palette", choices=list(PALETTES), help="word expressions only")
     p.set_defaults(fn=cmd_random)

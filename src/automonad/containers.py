@@ -228,15 +228,13 @@ class LinComb(dict):
             self._hash = hash(frozenset(self.items()))
             return self._hash
 
+    def __str__(self):
+        if not self:
+            return "0"
+        return " + ".join(f"{render(k)}·{render(x)}" for x, k in self.sorted_items())
+
     def __repr__(self):
         return "LinComb(" + render(self) + ")"
-
-
-@render.register(LinComb)
-def _render_lincomb(value):
-    if not value:
-        return "0"
-    return " + ".join(f"{render(k)}·{render(x)}" for x, k in value.sorted_items())
 
 
 class LinCombContainer(EffectContainer):
@@ -321,54 +319,44 @@ class LinCombContainer(EffectContainer):
 class BVar:
     name: Any
 
+    def __str__(self):
+        return render(self.name)
+
 
 @dataclass(frozen=True)
 class BConst:
     value: bool
+
+    def __str__(self):
+        return "true" if self.value else "false"
 
 
 @dataclass(frozen=True)
 class BNot:
     arg: Any
 
+    def __str__(self):
+        return f"not({render(self.arg)})"
+
 
 @dataclass(frozen=True)
 class BAnd:
     args: tuple
+
+    def __str__(self):
+        return "and(" + ",".join(render(a) for a in self.args) + ")"
 
 
 @dataclass(frozen=True)
 class BOr:
     args: tuple
 
+    def __str__(self):
+        return "or(" + ",".join(render(a) for a in self.args) + ")"
+
 
 BTRUE = BConst(True)
 BFALSE = BConst(False)
-
-
-@render.register(BVar)
-def _render_bvar(e):
-    return render(e.name)
-
-
-@render.register(BConst)
-def _render_bconst(e):
-    return "true" if e.value else "false"
-
-
-@render.register(BNot)
-def _render_bnot(e):
-    return f"not({render(e.arg)})"
-
-
-@render.register(BAnd)
-def _render_band(e):
-    return "and(" + ",".join(render(a) for a in e.args) + ")"
-
-
-@render.register(BOr)
-def _render_bor(e):
-    return "or(" + ",".join(render(a) for a in e.args) + ")"
 
 
 def bool_and(*args):
@@ -573,10 +561,16 @@ class BoolExprContainer(EffectContainer):
 class GVar:
     name: Any
 
+    def __str__(self):
+        return render(self.name)
+
 
 @dataclass(frozen=True)
 class GConst:
     value: Any
+
+    def __str__(self):
+        return render(self.value)
 
 
 @dataclass(frozen=True)
@@ -585,20 +579,8 @@ class GFun:
     args: tuple
     fn: Callable = field(compare=False, repr=False)
 
-
-@render.register(GVar)
-def _render_gvar(e):
-    return render(e.name)
-
-
-@render.register(GConst)
-def _render_gconst(e):
-    return render(e.value)
-
-
-@render.register(GFun)
-def _render_gfun(e):
-    return e.label + "(" + ",".join(render(a) for a in e.args) + ")"
+    def __str__(self):
+        return self.label + "(" + ",".join(render(a) for a in self.args) + ")"
 
 
 def eval_gen_expr(e, env: Callable[[Any], Any] | None = None):
@@ -782,10 +764,8 @@ class Pair:
     value: Any
     output: Any
 
-
-@render.register(Pair)
-def _render_pair(p):
-    return f"({render(p.value)}|{render(p.output)})"
+    def __str__(self):
+        return f"({render(self.value)}|{render(self.output)})"
 
 
 class MonoidPairContainer(EffectContainer):

@@ -38,23 +38,33 @@ class EnrichedExpression:
 
 @dataclass(frozen=True)
 class EEmpty(EnrichedExpression):
-    pass
+    def __str__(self):
+        return "0"
 
 
 @dataclass(frozen=True)
 class EVar(EnrichedExpression):
     var: Any
 
+    def __str__(self):
+        return f"${render(self.var)}"
+
 
 @dataclass(frozen=True)
 class ETensor(EnrichedExpression):
     atom: Any
+
+    def __str__(self):
+        return render(self.atom)
 
 
 @dataclass(frozen=True)
 class ESum(EnrichedExpression):
     left: EnrichedExpression
     right: EnrichedExpression
+
+    def __str__(self):
+        return f"({render(self.left)}+{render(self.right)})"
 
 
 @dataclass(frozen=True)
@@ -65,11 +75,17 @@ class ESub(EnrichedExpression):
     left: EnrichedExpression
     right: EnrichedExpression
 
+    def __str__(self):
+        return f"({render(self.left)}.{render(self.var)} {render(self.right)})"
+
 
 @dataclass(frozen=True)
 class EStar(EnrichedExpression):
     var: Any
     body: EnrichedExpression
+
+    def __str__(self):
+        return f"({render(self.body)})*{render(self.var)}"
 
 
 E_EMPTY = EEmpty()
@@ -82,6 +98,9 @@ class WordAtom:
     symbol: Any
     vars = (UNIT,)  # a class attribute, not a field
 
+    def __str__(self):
+        return render(self.symbol)
+
 
 @dataclass(frozen=True)
 class TreeAtom:
@@ -90,49 +109,11 @@ class TreeAtom:
     symbol: Any  # RankedSymbol, or PosSym over one after linearization
     vars: tuple
 
-
-@render.register(EEmpty)
-def _render_eempty(_e):
-    return "0"
-
-
-@render.register(EVar)
-def _render_evar(e):
-    return f"${render(e.var)}"
-
-
-@render.register(ETensor)
-def _render_etensor(e):
-    return render(e.atom)
-
-
-@render.register(WordAtom)
-def _render_watom(a):
-    return render(a.symbol)
-
-
-@render.register(TreeAtom)
-def _render_tatom(a):
-    base = a.symbol
-    name = render(base)
-    if not a.vars:
-        return f"@{name}"
-    return f"@{name}(" + ",".join(render(v) for v in a.vars) + ")"
-
-
-@render.register(ESum)
-def _render_esum(e):
-    return f"({render(e.left)}+{render(e.right)})"
-
-
-@render.register(ESub)
-def _render_esub(e):
-    return f"({render(e.left)}.{render(e.var)} {render(e.right)})"
-
-
-@render.register(EStar)
-def _render_estar(e):
-    return f"({render(e.body)})*{render(e.var)}"
+    def __str__(self):
+        name = render(self.symbol)
+        if not self.vars:
+            return f"@{name}"
+        return f"@{name}(" + ",".join(render(v) for v in self.vars) + ")"
 
 
 def _matches(atom, symbol) -> bool:
@@ -914,11 +895,8 @@ def expression_to_text(e: EnrichedExpression) -> str:
         return f"${_var_text(e.var)}"
     if isinstance(e, ETensor):
         atom = e.atom
-        if isinstance(atom, TreeAtom):
-            name = atom.symbol.name if isinstance(atom.symbol, RankedSymbol) else render(atom.symbol)
-            if not atom.vars:
-                return f"@{name}"
-            return f"@{name}(" + ",".join(_var_text(v) for v in atom.vars) + ")"
+        if isinstance(atom, TreeAtom) and atom.vars:
+            return f"@{atom.symbol}(" + ",".join(_var_text(v) for v in atom.vars) + ")"
         return f"@{atom.symbol}"
     if isinstance(e, ESum):
         return f"({expression_to_text(e.left)} + {expression_to_text(e.right)})"

@@ -4,7 +4,6 @@ expression parsers' scanner."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import singledispatch
 from typing import Any
 
 
@@ -93,39 +92,25 @@ class CapExceeded(RuntimeError):
     """An exploration budget was exhausted."""
 
 
-@singledispatch
 def render(value: Any) -> str:
     """Canonical text form of a value, used for sorting, DOT labels and dumps.
 
     Determinism matters more than beauty here: every state ordering in the
     package goes through this function, so it must not depend on hash seeds.
+    A package class gives its text through `__str__`; only the builtins whose
+    `str` is not canonical are special-cased here, subclasses included.
     """
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "#"
+    if isinstance(value, tuple):
+        return "(" + ",".join(render(v) for v in value) + ")"
+    if isinstance(value, frozenset):
+        return "{" + ",".join(sorted(render(v) for v in value)) + "}"
     return str(value)
-
-
-@render.register(bool)
-def _render_bool(value):
-    return "true" if value else "false"
-
-
-@render.register(type(None))
-def _render_none(_value):
-    return "#"
-
-
-@render.register(str)
-def _render_str(value):
-    return value
-
-
-@render.register(frozenset)
-def _render_frozenset(value):
-    return "{" + ",".join(sorted(render(v) for v in value)) + "}"
-
-
-@render.register(tuple)
-def _render_tuple(value):
-    return "(" + ",".join(render(v) for v in value) + ")"
 
 
 @dataclass(frozen=True)
@@ -134,6 +119,9 @@ class Inl:
 
     value: Any
 
+    def __str__(self):
+        return f"L:{render(self.value)}"
+
 
 @dataclass(frozen=True)
 class Inr:
@@ -141,15 +129,8 @@ class Inr:
 
     value: Any
 
-
-@render.register(Inl)
-def _render_inl(value):
-    return f"L:{render(value.value)}"
-
-
-@render.register(Inr)
-def _render_inr(value):
-    return f"R:{render(value.value)}"
+    def __str__(self):
+        return f"R:{render(self.value)}"
 
 
 class _Unit:
@@ -170,8 +151,3 @@ class _Unit:
 
 
 UNIT = _Unit()
-
-
-@render.register(_Unit)
-def _render_unit(_value):
-    return "()"

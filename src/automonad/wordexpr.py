@@ -43,22 +43,34 @@ class Epsilon(WordExpression):
     def __repr__(self):
         return "Epsilon"
 
+    def __str__(self):
+        return "1"
+
 
 @dataclass(frozen=True)
 class Empty(WordExpression):
     def __repr__(self):
         return "Empty"
 
+    def __str__(self):
+        return "0"
+
 
 @dataclass(frozen=True)
 class Sym(WordExpression):
     symbol: Any
+
+    def __str__(self):
+        return render(self.symbol)
 
 
 @dataclass(frozen=True)
 class Op(WordExpression):
     operator: Any
     operands: tuple
+
+    def __str__(self):
+        return expr_to_text(self)
 
 
 EPSILON = Epsilon()
@@ -166,33 +178,8 @@ class PosSym:
     def __repr__(self):
         return f"{self.base}{self.index}"
 
-
-from .util import render as _render
-
-
-@_render.register(PosSym)
-def _render_pos(p):
-    return f"{render(p.base)}{p.index}"
-
-
-@_render.register(Epsilon)
-def _render_eps(_e):
-    return "1"
-
-
-@_render.register(Empty)
-def _render_empty(_e):
-    return "0"
-
-
-@_render.register(Sym)
-def _render_sym(e):
-    return render(e.symbol)
-
-
-@_render.register(Op)
-def _render_op(e):
-    return expr_to_text(e)
+    def __str__(self):
+        return f"{render(self.base)}{self.index}"
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +543,6 @@ class GlushkovInit:
         return "i"
 
 
-@_render.register(GlushkovInit)
-def _render_ginit(_s):
-    return "i"
-
-
 def position_automaton(e: WordExpression, container: EffectContainer) -> WordAutomaton:
     """Glushkov automaton over {init} + positions; raises UnsupportedOperation
     when some operator does not support positions."""
@@ -759,10 +741,8 @@ class Pure:
 
     marker: bool
 
-
-@_render.register(Pure)
-def _render_pure(p):
-    return "t" if p.marker else "s"
+    def __str__(self):
+        return "t" if self.marker else "s"
 
 
 def inductive_automaton(e: WordExpression, container: EffectContainer) -> WordAutomaton:

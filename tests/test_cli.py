@@ -2,12 +2,17 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import automonad
 from automonad import wordexpr as wx
-from automonad.algebra import INTEGERS
+from automonad.algebra import INTEGERS, RankedSymbol
 from automonad.cli import (
     EXIT_CAPS,
     EXIT_PARSE,
@@ -17,6 +22,17 @@ from automonad.cli import (
     main,
 )
 from automonad.validate import CONSTRUCTIONS, WEIGHTS, validate_trees, validate_words
+
+
+# `main` over a JSON list of argvs in one process: each output follows a NUL
+# and ends with its exit code
+ONE_PROCESS_BUILDS = """
+import json, sys
+from automonad.cli import main
+for argv in json.loads(sys.argv[1]):
+    sys.stdout.write("\\0")
+    print(main(argv))
+"""
 
 
 class TestBuild:
@@ -114,6 +130,32 @@ class TestBuild:
         assert hashlib.sha256("".join(chunks).encode()).hexdigest() == (
             "f8a551936627b6ef0c4e6110a00e6eebd3f395d243e94bff67c58b885427fa78"
         )
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self):
+        # set and boolean-expression states are ordered by their text, not
+        # by iteration order: one process per hash seed prints the same bytes
+        argvs = [
+            ["build", "word", "--random", "1", "12", "--method", "positions", "--format", "dump"],
+            ["build", "word", "--random", "2", "12", "--weights", "boolexpr", "--format", "dump"],
+            ["build", "word", "--random", "4", "12", "--palette", "boolean", "--weights", "boolexpr"],
+            ["build", "tree", "--random", "1", "8", "--method", "positions", "--format", "dump"],
+            ["build", "tree", "--random", "0", "8", "--weights", "boolexpr"],
+        ]
+        expected = []
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            expected.append(f"{out.getvalue()}{code}\n")
+        src = os.path.dirname(os.path.dirname(automonad.__file__))
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"}
+            run = subprocess.run(
+                [sys.executable, "-c", ONE_PROCESS_BUILDS, json.dumps(argvs)],
+                env=env, capture_output=True, encoding="utf-8", check=True,
+            )
+            assert run.stdout.split("\0")[1:] == expected, f"PYTHONHASHSEED={seed}"
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["build", "word", "a+)"]) == 2
@@ -258,6 +300,15 @@ def test_parser_choices_are_the_registry_keys():
     }
     for command in ("build", "weight"):
         assert set(_choices(command, "weights")) == set(WEIGHTS)
+
+
+@pytest.mark.parametrize("argv", [["build", "word", "a"], ["weight", "word", "a", "a"]])
+def test_seed_is_only_for_commands_that_draw(argv, capsys):
+    # `build` and `weight` draw only through `--random SEED SIZE`
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "3"])
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 HOSTILE = [
@@ -444,6 +495,24 @@ class TestValidate:
     def test_tree_run_passes(self, capsys):
         assert main(["validate", "tree", "--instances", "3", "--probes", "8", "--seed", "3"]) == 0
         assert capsys.readouterr().out.startswith("PASS")
+
+    @pytest.mark.parametrize(
+        "kind, alphabet, report",
+        [
+            ("word", "ab", lambda: validate_words(instances=2, probes=5, seed=4, alphabet=["a", "b"])),
+            (
+                "tree",
+                "a/0,f/1",
+                lambda: validate_trees(
+                    instances=2, probes=5, seed=4, alphabet=[RankedSymbol("a", 0), RankedSymbol("f", 1)]
+                ),
+            ),
+        ],
+    )
+    def test_the_command_runs_its_kinds_harness(self, kind, alphabet, report, capsys):
+        argv = ["validate", kind, "--alphabet", alphabet, "--instances", "2", "--probes", "5", "--seed", "4"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == report().summary() + "\n"
 
     def test_zero_instances_trivially_pass(self, capsys):
         assert main(["validate", "word", "--instances", "0"]) == 0

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from automonad.algebra import INT_SUM, INTEGERS, STR_CONCAT, product_monoid
+from automonad.algebra import HOLE, INT_SUM, INTEGERS, STR_CONCAT, RankedSymbol, parse_tree, product_monoid
+from automonad.automata import StarNew, StarOld, Transition
 from automonad.containers import (
     BFALSE,
     BOOL_EXPR,
@@ -20,6 +21,7 @@ from automonad.containers import (
     GFun,
     GVar,
     OPTIONAL,
+    Pair,
     bool_and,
     bool_expr_to_clauses,
     bool_not,
@@ -33,8 +35,10 @@ from automonad.containers import (
     normalize_bool_expr,
     stack_context,
 )
-from automonad.util import UNIT, UnsupportedOperation, render
+from automonad.enriched import E_EMPTY, EStar, ESub, ESum, ETensor, EVar, TreeAtom, WordAtom
+from automonad.util import Inl, Inr, UNIT, UnsupportedOperation, render
 from automonad.validate import validate_trees, validate_words
+from automonad.wordexpr import EMPTY, EPSILON, GlushkovInit, PosSym, Pure, Sym, parse_expression
 
 INT_LIN = lin_comb(INTEGERS)
 
@@ -317,3 +321,65 @@ class TestRendering:
     def test_bool_expr_prefix_form(self):
         e = bool_and(BVar("q"), bool_or(BVar("p"), BVar("r")))
         assert render(e) == "and(or(p,r),q)"
+
+    def test_builtins_whose_str_is_not_canonical(self):
+        assert (render(True), render(False), render(None)) == ("true", "false", "#")
+        assert render(("a", frozenset({2, 1}), (None, True))) == "(a,{1,2},(#,true))"
+        # sets sort by the text of their elements, not by their values
+        assert render(frozenset({10, 9, "b"})) == "{10,9,b}"
+
+    def test_tuple_subclasses_render_element_wise(self):
+        class Tagged(tuple):
+            pass
+
+        assert render(Tagged((1, frozenset({"y", "x"})))) == "(1,{x,y})"
+        assert render(Transition(Inl(0), "a", None)) == "(L:0,a,#)"
+
+
+G = RankedSymbol("g", 2)
+F = RankedSymbol("f", 1)
+# one value of each package class with its own text, and that text
+CANONICAL_TEXTS = [
+    (Inl(frozenset({2, 1})), "L:{1,2}"),
+    (Inr(None), "R:#"),
+    (UNIT, "()"),
+    (G, "g"),
+    (HOLE, "_"),
+    (parse_tree("g(a,_)"), "g(a,_)"),
+    (INT_LIN.from_entries([("y", 3), ("x", 2)]), "2·x + 3·y"),
+    (INT_LIN.neutral, "0"),
+    (BVar(("q", 1)), "(q,1)"),
+    (BConst(False), "false"),
+    (BNot(BVar("p")), "not(p)"),
+    (BAnd((BVar("p"), BTRUE)), "and(p,true)"),
+    (BOr((BVar("p"), BVar("q"))), "or(p,q)"),
+    (GVar(Inl("p")), "L:p"),
+    (GConst(True), "true"),
+    (GFun("max", (GVar("p"), GConst(3)), max), "max(p,3)"),
+    (Pair("q", ("a", "b")), "(q|(a,b))"),
+    (StarOld(Inr(0)), "O:R:0"),
+    (StarNew(), "new"),
+    (PosSym(3, "a"), "a3"),
+    (PosSym(2, F), "f2"),
+    (EPSILON, "1"),
+    (EMPTY, "0"),
+    (Sym("a"), "a"),
+    (parse_expression("[2]:a*.~b+1"), "[2]:a*.~b+1"),
+    (GlushkovInit(), "i"),
+    (Pure(True), "t"),
+    (Pure(False), "s"),
+    (E_EMPTY, "0"),
+    (EVar(UNIT), "$()"),
+    (ETensor(WordAtom("a")), "a"),
+    (WordAtom("b"), "b"),
+    (ETensor(TreeAtom(G, ("x", "y"))), "@g(x,y)"),
+    (TreeAtom(RankedSymbol("a", 0), ()), "@a"),
+    (ESum(EVar("x"), E_EMPTY), "($x+0)"),
+    (ESub("x", EVar("x"), ETensor(WordAtom("a"))), "($x.x a)"),
+    (EStar(UNIT, ETensor(TreeAtom(F, (UNIT,)))), "(@f(()))*()"),
+]
+
+
+@pytest.mark.parametrize("value, text", CANONICAL_TEXTS, ids=[type(v).__name__ for v, _ in CANONICAL_TEXTS])
+def test_a_package_value_renders_as_its_str(value, text):
+    assert render(value) == str(value) == text
