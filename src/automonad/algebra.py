@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .util import MAX_NESTING, ExprSyntaxError, WeightError
+from .util import ExprSyntaxError, Scanner, WeightError
 
 
 @dataclass(frozen=True)
@@ -203,68 +203,39 @@ def tree_to_text(t: RankedTree) -> str:
     return t.symbol.name + "(" + ",".join(tree_to_text(c) for c in t.children) + ")"
 
 
+class _TreeParser(Scanner):
+    """`name(child,...)`, where a name is letters, digits and `_+-*/`, and a
+    lone `_` is a hole."""
+
+    def __init__(self, text: str, alphabet):
+        super().__init__(text)
+        self.by_name = {s.name: s for s in alphabet} if alphabet is not None else None
+
+    def expr(self) -> RankedTree:
+        name = self.name("_+-*/")
+        if name == "_":
+            return HOLE
+        start = self.pos - len(name)
+        children = tuple(self.listed(self.expr)) if self.peek() == "(" else ()
+        if self.by_name is None:
+            return Node(RankedSymbol(name, len(children)), children)
+        if name not in self.by_name:
+            raise ExprSyntaxError(f"unknown symbol {name!r}", start)
+        symbol = self.by_name[name]
+        if symbol.arity != len(children):
+            raise ExprSyntaxError(
+                f"symbol {name!r} has arity {symbol.arity}, got {len(children)}", start
+            )
+        return Node(symbol, children)
+
+
 def parse_tree(text: str, alphabet: Sequence[RankedSymbol] | None = None) -> RankedTree:
     """Parse the `name(child,...)` format; `_` is a hole.
 
     When `alphabet` is given, symbols are resolved against it (and unknown
     names rejected); otherwise arities are inferred from the child counts.
     """
-    by_name = {s.name: s for s in alphabet} if alphabet is not None else None
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_one(depth: int) -> RankedTree:
-        nonlocal pos
-        if depth > MAX_NESTING:
-            raise ExprSyntaxError(f"tree nested too deeply (more than {MAX_NESTING} levels)", pos)
-        skip_ws()
-        if pos >= len(text):
-            raise ExprSyntaxError("unexpected end of tree", pos)
-        if text[pos] == "_":
-            pos += 1
-            return HOLE
-        start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] in "+-*/"):
-            pos += 1
-        name = text[start:pos]
-        if not name:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        children = []
-        skip_ws()
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            while True:
-                children.append(parse_one(depth + 1))
-                skip_ws()
-                if pos < len(text) and text[pos] == ",":
-                    pos += 1
-                    continue
-                if pos < len(text) and text[pos] == ")":
-                    pos += 1
-                    break
-                raise ExprSyntaxError("expected ',' or ')'", pos)
-        if by_name is not None:
-            if name not in by_name:
-                raise ExprSyntaxError(f"unknown symbol {name!r}", start)
-            symbol = by_name[name]
-            if symbol.arity != len(children):
-                raise ExprSyntaxError(
-                    f"symbol {name!r} has arity {symbol.arity}, got {len(children)}",
-                    start,
-                )
-        else:
-            symbol = RankedSymbol(name, len(children))
-        return Node(symbol, tuple(children))
-
-    tree = parse_one(0)
-    skip_ws()
-    if pos != len(text):
-        raise ExprSyntaxError("trailing input after tree", pos)
-    return tree
+    return _TreeParser(text, alphabet).parse()
 
 
 def subtrees(t: RankedTree):

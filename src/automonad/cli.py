@@ -20,33 +20,43 @@ from . import wordexpr as wx
 from .algebra import RankedSymbol, parse_tree
 from .automata import DEFAULT_MAX_STATES, WordAutomaton, explore, to_dot
 from .treeauto import TopDownContainerTA, td_explore, td_to_dot, tree_explore, tree_to_dot
-from .util import CapExceeded, ExprSyntaxError, UNIT, UnsupportedOperation, WeightError, render
+from .util import CapExceeded, ExprSyntaxError, Scanner, UNIT, UnsupportedOperation, WeightError, render
 from .validate import CONSTRUCTIONS, WEIGHTS, construct, methods, validate_trees, validate_words
 
 EXIT_FAIL, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_CAPS, EXIT_WEIGHT = 1, 2, 3, 4, 5
 
 PALETTES = {"simple": wx.SIMPLE_OPS, "scalar": wx.SCALAR_OPS, "boolean": wx.BOOLEAN_OPS}
-DEFAULT_ALPHABETS = {"word": "abc", "tree": "a/0,b/0,c/0,f/1,h/1,g/2"}
+DEFAULT_ALPHABETS = {"word": ("a", "b", "c"), "tree": en.DEFAULT_TREE_ALPHABET}
 
 
-def _parse_word_alphabet(text: str):
+def _word_alphabet(text: str):
+    """Letters, each once: the symbols the word parser reads."""
     if not text:
         raise ExprSyntaxError("empty alphabet", 0)
-    return list(text)
+    letters = {}
+    for position, letter in enumerate(text):
+        if not letter.isalpha() or letter in letters:
+            raise ExprSyntaxError(f"expected a new letter, got {letter!r}", position)
+        letters[letter] = None
+    return tuple(letters)
 
 
-def _parse_tree_alphabet(text: str):
-    symbols = []
-    position = 0
-    for part in text.split(","):
-        name, _, arity = part.partition("/")
-        if not name.strip() or not arity.strip().isdigit():
-            raise ExprSyntaxError(f"expected name/arity, got {part!r}", position)
-        symbols.append(RankedSymbol(name.strip(), int(arity)))
-        position += len(part) + 1
-    if not any(s.arity == 0 for s in symbols):
+def _tree_alphabet(text: str):
+    """`name/arity,...`: tree names without `/`, each once and none `_`."""
+    scanner = Scanner(text)
+    symbols = {}
+    while True:
+        name = scanner.name("_+-*")
+        if name == "_" or name in symbols:
+            scanner.error(f"expected a new symbol name, got {name!r}")
+        scanner.eat("/")
+        symbols[name] = RankedSymbol(name, scanner.digits("an arity"))
+        if not scanner.peek():
+            break
+        scanner.eat(",")
+    if not any(s.arity == 0 for s in symbols.values()):
         raise ExprSyntaxError("a tree alphabet needs a nullary symbol", 0)
-    return symbols
+    return tuple(symbols.values())
 
 
 def _expression(args):
@@ -54,7 +64,7 @@ def _expression(args):
     if args.random is not None:
         seed, size = args.random
         if size < 0:
-            raise ExprSyntaxError("--random SIZE must not be negative", 0)
+            raise ExprSyntaxError("the expression size must not be negative", 0)
         if args.kind == "word":
             return wx.random_expression(seed, size, args.alphabet, PALETTES[args.palette or "simple"])
         return en.random_tree_expression(seed, size, args.alphabet)
@@ -63,6 +73,10 @@ def _expression(args):
     if args.kind == "word":
         return wx.parse_expression(args.expression)
     return en.parse_tree_expression(args.expression, args.alphabet)
+
+
+def _text(kind: str, e) -> str:
+    return wx.expr_to_text(e) if kind == "word" else en.expression_to_text(e)
 
 
 def _explored(auto, alphabet, caps: int):
@@ -85,8 +99,7 @@ def cmd_build(args) -> int:
     e = _expression(args)
     auto = construct(args.kind, args.method, args.weights, e)
     result, dot = _explored(auto, args.alphabet, args.caps)
-    text = wx.expr_to_text(e) if args.kind == "word" else en.expression_to_text(e)
-    print(f"expression: {text}")
+    print(f"expression: {_text(args.kind, e)}")
     if args.format == "dot":
         sys.stdout.write(dot(result))
     else:
@@ -125,14 +138,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_random(args) -> int:
-    if args.size < 0:
-        raise ExprSyntaxError("--size must not be negative", 0)
-    if args.kind == "word":
-        e = wx.random_expression(args.seed, args.size, args.alphabet, PALETTES[args.palette or "simple"])
-        print(wx.expr_to_text(e))
-    else:
-        e = en.random_tree_expression(args.seed, args.size, args.alphabet)
-        print(en.expression_to_text(e))
+    args.random = args.seed, args.size
+    print(_text(args.kind, _expression(args)))
     return 0
 
 
@@ -184,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=10)
     p.add_argument("--palette", choices=list(PALETTES), help="word expressions only")
-    p.set_defaults(fn=cmd_random)
+    p.set_defaults(fn=cmd_random, expression=None)
 
     parser.commands = sub.choices  # subcommand parsers by name, for `main`
     return parser
@@ -201,9 +208,8 @@ def main(argv=None) -> int:
     try:
         if args.kind == "tree" and getattr(args, "palette", None) is not None:
             raise ExprSyntaxError("--palette is for word expressions only", 0)
-        text = DEFAULT_ALPHABETS[args.kind] if args.alphabet is None else args.alphabet
-        parse_alphabet = _parse_word_alphabet if args.kind == "word" else _parse_tree_alphabet
-        args.alphabet = parse_alphabet(text)
+        read = _word_alphabet if args.kind == "word" else _tree_alphabet
+        args.alphabet = DEFAULT_ALPHABETS[args.kind] if args.alphabet is None else read(args.alphabet)
         return args.fn(args)
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -146,10 +146,12 @@ def nullable_var(v, e: EnrichedExpression, weights: StarSemiring):
             n2, weights.times(n1, nullable_var(e.var, e.right, weights))
         )
     if isinstance(e, EStar):
-        n = nullable_var(v, e.body, weights)
+        # empty iterations through the star's variable, then the body's
+        # empty run to `v` (or none, for the star's own variable)
+        iterate = weights.star(nullable_var(e.var, e.body, weights))
         if v == e.var:
-            return weights.star(n)
-        return weights.times(n, weights.star(n))
+            return iterate
+        return weights.times(nullable_var(v, e.body, weights), iterate)
     raise TypeError(f"not an enriched expression: {e!r}")
 
 
@@ -772,7 +774,14 @@ def _positive_star_pieces(v, p: _Pieces, container) -> _Pieces:
     def init(u):
         if u == v:
             return container.act_left(star_eps, p.init(v))
-        return p.init(u)
+        # a zero-length body run from u ends an iteration, as a final
+        # state does in `hop`
+        return container.combine(
+            p.init(u),
+            container.act_left(
+                w.times(_var_weight_of(p, container, u), star_eps), p.init(v)
+            ),
+        )
 
     def final(s):
         return w.times(p.final(s), star_eps)
@@ -921,23 +930,12 @@ class _TreeExprParser(Scanner):
         super().__init__(text)
         self.by_name = {s.name: s for s in alphabet}
 
-    def name(self):
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a name")
-        return self.text[start : self.pos]
-
     def varref(self):
         if self.peek() == "(":
             self.eat("(")
             self.eat(")")
             return UNIT
-        return self.name()
+        return self.name("_")
 
     def expr(self):
         start = self.depth
@@ -977,20 +975,11 @@ class _TreeExprParser(Scanner):
             return EVar(self.varref())
         if ch == "@":
             self.eat("@")
-            name = self.name()
+            name = self.name("_")
             if name not in self.by_name:
                 self.error(f"unknown symbol {name!r}")
             symbol = self.by_name[name]
-            vars_: list = []
-            if self.peek() == "(" and symbol.arity > 0:
-                self.eat("(")
-                while True:
-                    vars_.append(self.varref())
-                    if self.peek() == ",":
-                        self.eat(",")
-                        continue
-                    break
-                self.eat(")")
+            vars_ = self.listed(self.varref) if self.peek() == "(" and symbol.arity else []
             if len(vars_) != symbol.arity:
                 self.error(f"symbol {name!r} expects {symbol.arity} variables")
             return ETensor(TreeAtom(symbol, tuple(vars_)))
@@ -1038,9 +1027,9 @@ def random_tree_expression(
             body = gen(n - 1, star_ok=False)
             if not occurs(v, body):
                 body = ESum(body, atom_with(v))
-            # the body must not reach any variable on an empty run, or the
-            # star weights in the analysis clauses are undefined over the
-            # integers
+            # a body that reaches the star's variable on an empty run has
+            # an undefined star weight over the integers; the check covers
+            # every variable so that the random stream stays as it was
             from .algebra import BOOLEANS
 
             if any(nullable_var(u, body, BOOLEANS) for u in variables):

@@ -1,5 +1,5 @@
 """Shared plumbing: canonical rendering, sum-type tags, error types and the
-expression parsers' scanner."""
+scanner that reads every input text (expressions, trees and alphabets)."""
 
 from __future__ import annotations
 
@@ -24,14 +24,14 @@ class ExprSyntaxError(ValueError):
 
 
 # Deepest nesting of parentheses, unary operators and binary chain operands
-# (and of tree children) that the parsers accept.  Deeper input is an
-# ExprSyntaxError: the parsers and the folds over what they build recurse
-# once or more per level.
+# (and of tree children and atom variables) that the parsers accept.  Deeper
+# input is an ExprSyntaxError: the parsers and the folds over what they build
+# recurse once or more per level.
 MAX_NESTING = 100
 
 
 class Scanner:
-    """Recursive-descent plumbing shared by the expression parsers.
+    """Recursive-descent plumbing shared by every parser of input text.
 
     Subclasses define `expr()`.  `nest()` enters one level of nesting and
     fails past MAX_NESTING; a construct that ends a nesting restores the
@@ -71,6 +71,43 @@ class Scanner:
         self.eat(")")
         self.depth = start
         return e
+
+    def listed(self, item):
+        """`(item, ..., item)` as a list, one level deeper than its context."""
+        start = self.depth
+        self.eat("(")
+        self.nest()
+        items = [item()]
+        while self.peek() == ",":
+            self.pos += 1
+            items.append(item())
+        self.eat(")")
+        self.depth = start
+        return items
+
+    def name(self, extra: str) -> str:
+        """Letters, digits and the characters of `extra`, at least one."""
+        name = self.span(lambda ch: ch.isalnum() or ch in extra)
+        if not name:
+            self.error("expected a name")
+        return name
+
+    def digits(self, what: str) -> int:
+        """A non-negative integer in ASCII digits: `str.isdigit` passes
+        `²`, which `int` refuses."""
+        digits = self.span(lambda ch: ch in "0123456789")
+        if not digits:
+            self.error(f"expected {what}")
+        return int(digits)
+
+    def span(self, accepts) -> str:
+        """The longest text ahead, after whitespace, whose characters all
+        satisfy `accepts`."""
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and accepts(self.text[self.pos]):
+            self.pos += 1
+        return self.text[start : self.pos]
 
     def chained(self, operator: str) -> bool:
         """Eat `operator` if it comes next, entering the nesting level of

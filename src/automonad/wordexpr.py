@@ -292,17 +292,11 @@ class _Parser(Scanner):
 
     def scalar(self) -> int:
         self.eat("[")
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        if self.pos == digits:
-            self.error("expected integer scalar")
-        value = int(self.text[start : self.pos])
+        negative = self.peek() == "-"
+        self.pos += negative
+        value = self.digits("integer scalar")
         self.eat("]")
-        return value
+        return -value if negative else value
 
     def prefixed(self):
         if self.peek() == "~":

@@ -182,6 +182,17 @@ class TestWeight:
         assert main(["weight", "tree", "--method", "occurrence", subject, "g(_,_)"]) == 0
         assert capsys.readouterr().out.strip() == "5"
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["weight", "tree", "@x_1", "x_1", "--alphabet", "x_1/0"], "true"),
+            (["weight", "tree", "--method", "occurrence", "+(a,+(a,a))", "+(_,_)", "--alphabet", "a/0,+/2"], "2"),
+        ],
+    )
+    def test_alphabet_names_are_the_tree_names(self, argv, expected, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == expected
+
     def test_tree_weight_by_method(self, capsys):
         assert main(["weight", "tree", "--method", "derivation", "@a .() @f(())", "f(a)"]) == 0
         assert capsys.readouterr().out.strip() == "true"
@@ -277,6 +288,16 @@ BAD_ALPHABETS = [
     ["validate", "tree", "--alphabet", "f/1"],
     ["build", "word", "--random", "0", "5", "--alphabet", ""],
     ["random", "tree", "--alphabet", "a/0,g/-1"],
+    # an arity in ASCII digits, each name once and readable by the parsers
+    ["weight", "tree", "@a", "a", "--alphabet", "a/²"],
+    ["weight", "tree", "@a", "a", "--alphabet", "a/0,a/1"],
+    ["weight", "tree", "@a", "a", "--alphabet", "a b/0"],
+    ["weight", "tree", "@a", "a", "--alphabet", "_/0"],
+    ["weight", "tree", "@a", "a", "--alphabet", "a/0,"],
+    # letters the word parser reads as symbols, each once
+    ["build", "word", "a", "--alphabet", "aa", "--format", "dump"],
+    ["random", "word", "--alphabet", "a+", "--seed", "1", "--size", "4"],
+    ["random", "word", "--alphabet", "a1", "--seed", "2", "--size", "4"],
 ]
 
 
@@ -391,7 +412,7 @@ def _value(action):
         return st.sampled_from(list(action.choices))
     if action.type is int:
         return SMALL
-    return ALPHABETS if action.dest == "alphabet" else TEXTS | SOUP
+    return ALPHABETS | SOUP if action.dest == "alphabet" else TEXTS | SOUP
 
 
 @st.composite
@@ -454,9 +475,11 @@ class TestRandom:
         from automonad.wordexpr import parse_expression, expr_to_text
 
         for seed in ("1", "2", "3"):
-            assert main(["random", "word", "--seed", seed, "--size", "8", "--palette", "scalar"]) == 0
-            text = capsys.readouterr().out.strip()
-            assert expr_to_text(parse_expression(text)) == text
+            for alphabet in ([], ["--alphabet", "xy"], ["--alphabet", "éβ"]):
+                argv = ["random", "word", "--seed", seed, "--size", "8", "--palette", "scalar"]
+                assert main(argv + alphabet) == 0
+                text = capsys.readouterr().out.strip()
+                assert expr_to_text(parse_expression(text)) == text
 
     def test_word_palette_defaults_to_simple(self, capsys):
         assert main(["random", "word", "--seed", "4", "--size", "12"]) == 0

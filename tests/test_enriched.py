@@ -66,6 +66,11 @@ class TestNullableVar:
         e = EStar("v", ESum(EVar("v"), watom("a")))
         assert nullable_var("v", e, BOOLEANS) == BOOLEANS.star(True)
 
+    def test_star_clause_for_another_variable(self):
+        # empty iterations through v, then the body's empty run to u
+        e = EStar("v", ESum(tatom(F, "v"), EVar("u")))
+        assert nullable_var("u", e, INTEGERS) == 1
+
     def test_sub_clauses(self):
         same = ESub("v", EVar("v"), EVar("v"))
         assert nullable_var("v", same, INTEGERS) == 1
@@ -363,6 +368,31 @@ class TestTreeAutomata:
             for t in probes:
                 weights = {a.weight(t) for a in autos}
                 assert len(weights) == 1, (expression_to_text(expr), render(t))
+
+    def test_star_body_reaching_another_variable_on_an_empty_run(self):
+        # a zero-length body run to y ends one iteration of the star over x:
+        # the tree f(a) is one iteration f(x) around one empty iteration
+        # $y, so it weighs 1, not "undefined" or 0
+        texts = [
+            "(@b .x (@a .y ((@f(x) + $y)*x)))",
+            "(@c .y (@a .x ((@g(x,y) + $y)*x)))",
+            "(@a .y (@b .x ((@h(x) + (@f(y) + $y))*x .x @f(x))))",
+            "(@c .z (@a .y (@b .x ((@f(x) + ($y)*z)*x))))",
+        ]
+        trees = enumerate_trees(DEFAULT_TREE_ALPHABET, 3)
+        for text in texts:
+            e = parse_tree_expression(text)
+            for container, weigh in ((FINITE_SET, "recognizes"), (INT_LIN, "weight")):
+                # tabulated, so that the 363 trees share their subtrees' steps
+                autos = [
+                    tree_position_automaton(e, container).tabulated(),
+                    tree_derivation_automaton(e, container).tabulated(),
+                    tree_inductive_automaton(e, container).tabulated(),
+                ]
+                for t in trees:
+                    assert len({getattr(a, weigh)(t) for a in autos}) == 1, (text, render(t))
+        e = parse_tree_expression(texts[0])
+        assert tree_inductive_automaton(e, INT_LIN).weight(Node(F, (Node(A),))) == 1
 
     def test_aci_weight_preserving_via_derivation(self):
         trees = enumerate_trees(DEFAULT_TREE_ALPHABET, 3)[:80]

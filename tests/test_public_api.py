@@ -98,12 +98,11 @@ def _modules(*folders):
         yield from sorted((ROOT / folder).glob("*.py"))
 
 
-def _callee(call: ast.Call):
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
+def _named(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
     return None
 
 
@@ -139,14 +138,27 @@ def _defaulted_parameters():
 
 def _calls():
     """Callee name -> the calls made to it in the package, the tests (this
-    file aside) and the bench."""
+    file aside) and the bench.  A call through a name bound to a lookup,
+    `f = {key: g, ...}[key]`, counts as a call to each `g` of the table."""
     calls: dict = {}
     for path in _modules("src/automonad", "tests", "bench"):
         if path.resolve() == Path(__file__).resolve():
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        tables = {
+            target.id: [_named(value) for value in node.value.value.values]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Subscript)
+            and isinstance(node.value.value, ast.Dict)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                calls.setdefault(_callee(node), []).append(node)
+                callee = _named(node.func)
+                for name in [callee, *tables.get(callee, ())]:
+                    calls.setdefault(name, []).append(node)
     return calls
 
 
@@ -215,7 +227,7 @@ def test_no_container_type_check_outside_the_containers():
         if path.name == "containers.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and _callee(node) == "isinstance" and len(node.args) == 2:
+            if isinstance(node, ast.Call) and _named(node.func) == "isinstance" and len(node.args) == 2:
                 named = {
                     n.id if isinstance(n, ast.Name) else n.attr
                     for n in ast.walk(node.args[1])
