@@ -372,15 +372,10 @@ def complete(auto: WordAutomaton) -> WordAutomaton:
 def nfa_to_partial_dfa(auto: WordAutomaton) -> WordAutomaton:
     """Subset construction mapping the empty subset to absence."""
     _require(auto, FiniteSetContainer, "nfa_to_partial_dfa")
-
-    def delta(sym, subset):
-        out = set()
-        for s in subset:
-            out.update(auto.delta(sym, s))
-        return frozenset(out) if out else None
-
-    initial = auto.initial if auto.initial else None
-    return WordAutomaton(OPTIONAL, initial, delta, _weighed_by(auto))
+    subsets = determinize(auto).delta
+    return WordAutomaton(
+        OPTIONAL, auto.initial or None, lambda sym, s: subsets(sym, s) or None, _weighed_by(auto)
+    )
 
 
 def afa_to_nfa(auto: WordAutomaton) -> WordAutomaton:
@@ -575,14 +570,7 @@ def to_k_dfa(inits: Sequence, auto: WordAutomaton) -> WordAutomaton:
     """Run k synchronized copies of a complete DFA from the given states;
     accept when any copy accepts."""
     _require(auto, type(DETERMINISTIC), "to_k_dfa")
-
-    def delta(sym, states):
-        return tuple(auto.delta(sym, s) for s in states)
-
-    def final(states):
-        return any(bool(auto.final(s)) for s in states)
-
-    return complete_dfa(tuple(inits), delta, final)
+    return bool_combination(lambda *f: any(f), [replace(auto, initial=q) for q in inits])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ unary tree atom (words read as unary trees), so word regular expressions are
 the enriched expressions over the unit variable and tree regular expressions
 those whose atoms carry one variable per child.  Three constructions are
 provided for each: positions (via predecessors), derivation and induction.
-The reversed word position and derivation automata, and the word inductive
-one, are the tree automata read along unary trees; the forward word variants
-are written independently.
+The inductive tree construction composes `BottomUpContainerTA`s, one per
+subexpression, each reading its container from the automata it is built
+from.  The reversed word position and derivation automata, and the word
+inductive one, are the tree automata read along unary trees; the forward
+word variants are written independently.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .algebra import RankedSymbol, StarSemiring
 from .automata import WordAutomaton
@@ -658,41 +660,35 @@ def tree_derivation_automaton(e: EnrichedExpression, container: EffectContainer)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Pieces:
-    """An automaton under construction: a per-variable initial morphism plus
-    transition and finality maps."""
-
-    init: Callable[[Any], Any]
-    delta: Callable[[Any, tuple], Any]  # (symbol, child state tuple)
-    final: Callable[[Any], Any]
-
-
-def _var_pieces(v, container) -> _Pieces:
+def _var_pieces(v, container) -> BottomUpContainerTA:
     w = container.weights
-    return _Pieces(
+    return BottomUpContainerTA(
+        container,
         init=lambda u: container.unit(u),
         delta=lambda *_args: container.neutral,
         final=lambda u: w.one if u == v else w.zero,
     )
 
 
-def _empty_pieces(container) -> _Pieces:
-    return _Pieces(
+def _empty_pieces(container) -> BottomUpContainerTA:
+    return BottomUpContainerTA(
+        container,
         init=lambda _u: container.neutral,
         delta=lambda *_args: container.neutral,
         final=lambda _s: container.weights.zero,
     )
 
 
-def _var_weight_of(p: _Pieces, container, var):
-    return container.finality_step(p.init(var), p.final)
+def _var_weight_of(p: BottomUpContainerTA, var):
+    return p.container.finality_step(p.init(var), p.final)
 
 
 _value = attrgetter("value")  # of an Inl/Inr state
 
 
-def _sum_pieces(p1: _Pieces, p2: _Pieces, container) -> _Pieces:
+def _sum_pieces(p1: BottomUpContainerTA, p2: BottomUpContainerTA) -> BottomUpContainerTA:
+    container = p1.container
+
     def init(u):
         return container.combine(
             container.map(Inl, p1.init(u)), container.map(Inr, p2.init(u))
@@ -716,14 +712,15 @@ def _sum_pieces(p1: _Pieces, p2: _Pieces, container) -> _Pieces:
             return container.map(Inl, p1.delta(symbol, values))
         return container.map(Inr, p2.delta(symbol, values))
 
-    return _Pieces(init, delta, final)
+    return BottomUpContainerTA(container, init, delta, final)
 
 
-def _sub_pieces(v, p1: _Pieces, p2: _Pieces, container) -> _Pieces:
+def _sub_pieces(v, p1: BottomUpContainerTA, p2: BottomUpContainerTA) -> BottomUpContainerTA:
     """Substitution: runs of p1 hop into p2's configuration for `v` at their
     final states; only p2's states are final."""
+    container = p1.container
     w = container.weights
-    base = _sum_pieces(p1, p2, container)
+    base = _sum_pieces(p1, p2)
 
     def hop(state):
         if isinstance(state, Inl):
@@ -743,9 +740,7 @@ def _sub_pieces(v, p1: _Pieces, p2: _Pieces, container) -> _Pieces:
         # the hop in delta only covers runs that took at least one step
         entry = container.combine(
             container.map(Inl, p1.init(u)),
-            container.act_left(
-                _var_weight_of(p1, container, u), container.map(Inr, p2.init(v))
-            ),
+            container.act_left(_var_weight_of(p1, u), container.map(Inr, p2.init(v))),
         )
         if u == v:
             return entry
@@ -754,12 +749,13 @@ def _sub_pieces(v, p1: _Pieces, p2: _Pieces, container) -> _Pieces:
     def final(s):
         return p2.final(s.value) if isinstance(s, Inr) else w.zero
 
-    return _Pieces(init, delta, final)
+    return BottomUpContainerTA(container, init, delta, final)
 
 
-def _positive_star_pieces(v, p: _Pieces, container) -> _Pieces:
+def _positive_star_pieces(v, p: BottomUpContainerTA) -> BottomUpContainerTA:
+    container = p.container
     w = container.weights
-    eps = _var_weight_of(p, container, v)
+    eps = _var_weight_of(p, v)
     star_eps = w.star(eps)
 
     def hop(state):
@@ -778,18 +774,16 @@ def _positive_star_pieces(v, p: _Pieces, container) -> _Pieces:
         # state does in `hop`
         return container.combine(
             p.init(u),
-            container.act_left(
-                w.times(_var_weight_of(p, container, u), star_eps), p.init(v)
-            ),
+            container.act_left(w.times(_var_weight_of(p, u), star_eps), p.init(v)),
         )
 
     def final(s):
         return w.times(p.final(s), star_eps)
 
-    return _Pieces(init, delta, final)
+    return BottomUpContainerTA(container, init, delta, final)
 
 
-def _tensor_pieces(atom, container) -> _Pieces:
+def _tensor_pieces(atom, container) -> BottomUpContainerTA:
     w = container.weights
     expected = tuple(Inl(v) for v in atom.vars)
 
@@ -804,10 +798,10 @@ def _tensor_pieces(atom, container) -> _Pieces:
     def final(s):
         return w.one if isinstance(s, Inr) else w.zero
 
-    return _Pieces(init, delta, final)
+    return BottomUpContainerTA(container, init, delta, final)
 
 
-def _inductive_pieces(e: EnrichedExpression, container) -> _Pieces:
+def _inductive_pieces(e: EnrichedExpression, container) -> BottomUpContainerTA:
     if isinstance(e, EEmpty):
         return _empty_pieces(container)
     if isinstance(e, EVar):
@@ -816,20 +810,15 @@ def _inductive_pieces(e: EnrichedExpression, container) -> _Pieces:
         return _tensor_pieces(e.atom, container)
     if isinstance(e, ESum):
         return _sum_pieces(
-            _inductive_pieces(e.left, container),
-            _inductive_pieces(e.right, container),
-            container,
+            _inductive_pieces(e.left, container), _inductive_pieces(e.right, container)
         )
     if isinstance(e, ESub):
         return _sub_pieces(
-            e.var,
-            _inductive_pieces(e.left, container),
-            _inductive_pieces(e.right, container),
-            container,
+            e.var, _inductive_pieces(e.left, container), _inductive_pieces(e.right, container)
         )
     if isinstance(e, EStar):
-        inner = _positive_star_pieces(e.var, _inductive_pieces(e.body, container), container)
-        return _sum_pieces(inner, _var_pieces(e.var, container), container)
+        inner = _positive_star_pieces(e.var, _inductive_pieces(e.body, container))
+        return _sum_pieces(inner, _var_pieces(e.var, container))
     raise TypeError(f"not an enriched expression: {e!r}")
 
 
@@ -846,8 +835,7 @@ def tree_inductive_automaton(
 ) -> BottomUpContainerTA:
     """Structural construction of a bottom-up tree automaton; holes draw
     their configurations from the per-variable initial morphism."""
-    p = _inductive_pieces(e, container)
-    return BottomUpContainerTA(container, p.init, p.delta, p.final)
+    return _inductive_pieces(e, container)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ class BottomUpContainerTA:
     """Bottom-up automaton whose transitions land in an effect container.
 
     `init` assigns a configuration to each variable; child configurations
-    combine by cartesian expansion (all member tuples feed the transition)."""
+    combine by cartesian expansion (all member tuples feed the transition).
+    States must be hashable: a fold keys its node steps by them."""
 
     container: EffectContainer
     init: Callable[[Any], Any] | None
@@ -65,9 +66,13 @@ class BottomUpContainerTA:
     final: Callable[[Any], Any]
 
     def config(self, t: RankedTree, variables: tuple = ()):
+        """The configuration of `t` with its holes bound to `variables`.
+        Each node step `(symbol, child configurations)` is computed once per
+        call, or once per table for a `tabulated()` automaton."""
         cont = self.container
         if len(variables) != t.arity():
             raise ValueError(f"tree of arity {t.arity()} needs {t.arity()} variables")
+        steps = self._steps()
 
         def go(tree, vs):
             if tree is HOLE:
@@ -76,11 +81,20 @@ class BottomUpContainerTA:
                 return self.init(vs[0])
             assert isinstance(tree, Node)
             groups = _split_by_arity(vs, tree.children)
-            children = [go(c, g) for c, g in zip(tree.children, groups)]
-            tuples = cont.sequence(children)
-            return cont.bind(tuples, lambda states: self.delta(tree.symbol, states))
+            children = tuple([go(c, g) for c, g in zip(tree.children, groups)])
+            key = (tree.symbol, children)
+            out = steps.get(key, _MISSING)
+            if out is _MISSING:
+                out = steps[key] = cont.bind(
+                    cont.sequence(children), lambda states: self.delta(tree.symbol, states)
+                )
+            return out
 
         return go(t, tuple(variables))
+
+    def _steps(self) -> dict:
+        """The `(symbol, child configurations) -> configuration` memo of a fold."""
+        return {}
 
     def weight(self, t: RankedTree, variables: tuple = ()):
         return self.container.finality_step(self.config(t, variables), self.final)
@@ -115,27 +129,8 @@ class _BottomUpTable(BottomUpContainerTA):
 
     steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def config(self, t: RankedTree, variables: tuple = ()):
-        cont, steps = self.container, self.steps
-        if len(variables) != t.arity():
-            raise ValueError(f"tree of arity {t.arity()} needs {t.arity()} variables")
-
-        def go(tree, vs):
-            if tree is HOLE:
-                if self.init is None:
-                    raise UnsupportedOperation("automaton has no variable initialization")
-                return self.init(vs[0])
-            groups = _split_by_arity(vs, tree.children)
-            children = tuple([go(c, g) for c, g in zip(tree.children, groups)])
-            key = (tree.symbol, children)
-            out = steps.get(key, _MISSING)
-            if out is _MISSING:
-                out = steps[key] = cont.bind(
-                    cont.sequence(children), lambda states: self.delta(tree.symbol, states)
-                )
-            return out
-
-        return go(t, tuple(variables))
+    def _steps(self) -> dict:
+        return self.steps
 
     def tabulated(self) -> BottomUpContainerTA:
         return self

@@ -40,8 +40,9 @@ from automonad.enriched import (
 )
 from automonad import wordexpr as wx
 from automonad.util import Inl, Inr, UNIT, render
-from automonad.validate import CONSTRUCTIONS, construct
+from automonad.validate import CONSTRUCTIONS, WEIGHTS, construct
 from automonad.wordexpr import PosSym
+from test_tabulated import with_hole
 
 INT_LIN = lin_comb(INTEGERS)
 A, B, C, F, H, G = DEFAULT_TREE_ALPHABET
@@ -355,19 +356,21 @@ class TestTreeAutomata:
             tree_inductive_automaton(e, INT_LIN),
         ]:
             assert auto.weight(target) == 1
-        trees = enumerate_trees(DEFAULT_TREE_ALPHABET, 3)
-        rng = random.Random(1)
-        probes = rng.sample(trees, 50)
+        # each probe also with its leftmost leaf a hole bound to u, then to v
+        trees = random.Random(1).sample(enumerate_trees(DEFAULT_TREE_ALPHABET, 3), 50)
+        probes = [(t, ()) for t in trees]
+        probes += [(with_hole(t), (var,)) for t in trees for var in ("u", "v")]
+        methods = ("positions", "derivation", "inductive")
         for seed in range(8):
-            expr = random_tree_expression(seed, 4, variables=("u", "v"))
-            autos = [
-                tree_position_automaton(expr, INT_LIN),
-                tree_derivation_automaton(expr, INT_LIN),
-                tree_inductive_automaton(expr, INT_LIN),
-            ]
-            for t in probes:
-                weights = {a.weight(t) for a in autos}
-                assert len(weights) == 1, (expression_to_text(expr), render(t))
+            closed = random_tree_expression(seed, 4, variables=("u", "v"))
+            body = closed
+            while isinstance(body, ESub):  # outer binders stripped: u, v free
+                body = body.right
+            for expr, name in itertools.product((closed, body), WEIGHTS):
+                autos = [construct("tree", m, name, expr).tabulated() for m in methods]
+                for t, vs in probes:
+                    weights = {a.weight(t, vs) for a in autos}
+                    assert len(weights) == 1, (name, expression_to_text(expr), render(t), vs)
 
     def test_star_body_reaching_another_variable_on_an_empty_run(self):
         # a zero-length body run to y ends one iteration of the star over x:

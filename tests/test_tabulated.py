@@ -6,7 +6,9 @@ table also keeps its subtree weights.  A word automaton's own `weight` reads
 through such a table, one per call.  The harnesses weigh a repeated probe
 once per construction, and draw the same probes however they memoize.
 A kept word or bottom-up table also keeps its configuration steps, so a
-second weighing binds nothing; a one-shot word weight keeps none."""
+second weighing binds nothing; a one-shot word weight keeps none.  A tree
+table reads through its base class's one fold, which binds a step shared by
+two subtrees once per call even without a table."""
 
 import hashlib
 import itertools
@@ -19,7 +21,7 @@ from automonad import enriched as en
 from automonad import wordexpr as wx
 from automonad.algebra import INTEGERS, HOLE, Node
 from automonad.automata import WordAutomaton, _memo, nfa_to_partial_dfa
-from automonad.containers import LinCombContainer, OptionalContainer
+from automonad.containers import FINITE_SET, LinCombContainer, OptionalContainer
 from automonad.treeauto import BottomUpContainerTA, TopDownContainerTA
 from automonad.util import UNIT, render
 from automonad.validate import (
@@ -163,6 +165,30 @@ def test_word_weight_computes_each_row_once_per_call():
     assert all(n == 1 for n in tab.values())
     counted_auto.weight(word)  # the table of the first call was dropped
     assert all(n == 2 for n in tab.values())
+
+
+def test_a_bottom_up_weight_binds_a_repeated_subtree_once():
+    a, _b, _c, f, _h, g = en.DEFAULT_TREE_ALPHABET
+    calls = {}
+    delta = counted(lambda symbol, _states: frozenset({symbol.name}), calls)
+    auto = BottomUpContainerTA(FINITE_SET, None, delta, lambda _s: True)
+    fa = Node(f, (Node(a),))
+    assert auto.recognizes(Node(g, (fa, fa)))
+    assert calls == {(a, ()): 1, (f, ("a",)): 1, (g, ("f", "f")): 1}
+
+
+@pytest.mark.parametrize(
+    "method, base, fold",
+    [
+        ("derivation", TopDownContainerTA, "weight"),
+        ("positions", TopDownContainerTA, "weight"),
+        ("inductive", BottomUpContainerTA, "config"),
+    ],
+)
+def test_a_tree_table_inherits_the_one_fold(method, base, fold):
+    e, _probes = tree_instance(0)
+    table = construct("tree", method, "int", e).tabulated()
+    assert isinstance(table, base) and getattr(type(table), fold) is getattr(base, fold)
 
 
 def test_a_table_is_its_own_table():
