@@ -11,12 +11,11 @@ same weight, because `finality_step` is an algebra of the container's monad.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .algebra import product_monoid, INT_SUM, TUPLE_CONCAT
 from .containers import (
-    BAnd,
-    BTRUE,
     DETERMINISTIC,
     FINITE_SET,
     OPTIONAL,
@@ -24,10 +23,10 @@ from .containers import (
     EffectContainer,
     FiniteSetContainer,
     OptionalContainer,
+    bool_and,
     bool_expr_to_clauses,
     monoid_pair,
     normalize_bool_expr,
-    _bool_subst,
 )
 from .util import Inl, Inr, UNIT, UnsupportedOperation, render
 
@@ -337,19 +336,24 @@ def _weighed_by(auto) -> Callable:
     return lambda c: auto.container.finality_step(c, auto.final)
 
 
+def _configurations(auto: WordAutomaton) -> WordAutomaton:
+    """The configuration automaton of `auto` (the generalized powerset
+    construction): its states are the configurations of `auto`, a symbol
+    steps one through the container's `bind`, and each is weighed as `auto`
+    weighs it.  It is finite wherever the reachable configurations are."""
+    return complete_dfa(
+        auto.initial,
+        lambda sym, c: auto.container.bind(c, partial(auto.delta, sym)),
+        _weighed_by(auto),
+    )
+
+
 def determinize(auto: WordAutomaton) -> WordAutomaton:
     """Subset construction of a finite-set automaton; the empty subset is an
     explicit sink.  The result is a complete deterministic automaton whose
     states are canonical subsets."""
     _require(auto, FiniteSetContainer, "determinize")
-
-    def delta(sym, subset):
-        out = set()
-        for s in subset:
-            out.update(auto.delta(sym, s))
-        return frozenset(out)
-
-    return complete_dfa(auto.initial, delta, _weighed_by(auto))
+    return _configurations(auto)
 
 
 def complete(auto: WordAutomaton) -> WordAutomaton:
@@ -357,16 +361,7 @@ def complete(auto: WordAutomaton) -> WordAutomaton:
 
     The sink is `None`; original states must therefore not be None."""
     _require(auto, OptionalContainer, "complete")
-
-    def delta(sym, state):
-        if state is None:
-            return None
-        return auto.delta(sym, state)
-
-    def final(state):
-        return False if state is None else bool(auto.final(state))
-
-    return complete_dfa(auto.initial, delta, final)
+    return _configurations(auto)
 
 
 def nfa_to_partial_dfa(auto: WordAutomaton) -> WordAutomaton:
@@ -385,10 +380,7 @@ def afa_to_nfa(auto: WordAutomaton) -> WordAutomaton:
     _require(auto, BoolExprContainer, "afa_to_nfa")
 
     def delta(sym, clause):
-        evolved = normalize_bool_expr(
-            _conjunction([auto.delta(sym, q) for q in sorted(clause, key=render)])
-        )
-        return bool_expr_to_clauses(evolved)
+        return bool_expr_to_clauses(bool_and(*(auto.delta(sym, q) for q in clause)))
 
     def final(clause):
         return all(bool(auto.final(q)) for q in clause)
@@ -396,21 +388,11 @@ def afa_to_nfa(auto: WordAutomaton) -> WordAutomaton:
     return WordAutomaton(FINITE_SET, bool_expr_to_clauses(auto.initial), delta, final)
 
 
-def _conjunction(exprs):
-    if not exprs:
-        return BTRUE
-    return BAnd(tuple(exprs))
-
-
 def afa_to_complete_dfa(auto: WordAutomaton) -> WordAutomaton:
     """Determinize an alternating automaton: states are ACI-normalized
     boolean expressions, stepping by substituting each variable's image."""
     _require(auto, BoolExprContainer, "afa_to_complete_dfa")
-
-    def delta(sym, expr):
-        return normalize_bool_expr(_bool_subst(expr, lambda q: auto.delta(sym, q)))
-
-    return complete_dfa(normalize_bool_expr(auto.initial), delta, _weighed_by(auto))
+    return _configurations(replace(auto, initial=normalize_bool_expr(auto.initial)))
 
 
 # ---------------------------------------------------------------------------

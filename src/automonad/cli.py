@@ -3,11 +3,13 @@ harnesses, generate random expressions.
 
 Exit codes: 0 success (validate: all pass), 1 validation failure, 2 parse
 error (expressions, trees, alphabets, negative sizes, `--palette` for a
-tree, whose expressions have no palettes), 3 unsupported: an expression
-without a reading in the method (`~a` for `positions`, `~` for `inductive`
-under `boolexpr` or `genexpr`) or a method of another kind (`weight word
---method occurrence`), 4 exploration cap exceeded, 5 undefined weight (e.g.
-the star of a nullable expression over the integers).
+tree, whose expressions have no palettes, a random tree expression over an
+alphabet with a name the tree-expression parser cannot read), 3
+unsupported: an expression without a reading in the method (`~a` for
+`positions`, `~` for `inductive` under `boolexpr` or `genexpr`) or a method
+of another kind (`weight word --method occurrence`), 4 exploration cap
+exceeded, 5 undefined weight (e.g. the star of a nullable expression over
+the integers).
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ def _tree_alphabet(text: str):
     return tuple(symbols.values())
 
 
+def _reads_as_name(name: str) -> bool:
+    """Does the tree-expression parser read `name` whole as one name?"""
+    try:
+        return Scanner(name).name("_") == name
+    except ExprSyntaxError:
+        return False
+
+
 def _expression(args):
     """The word or tree expression that `args` gives as text or --random."""
     if args.random is not None:
@@ -67,16 +77,15 @@ def _expression(args):
             raise ExprSyntaxError("the expression size must not be negative", 0)
         if args.kind == "word":
             return wx.random_expression(seed, size, args.alphabet, PALETTES[args.palette or "simple"])
+        for symbol in args.alphabet:
+            if not _reads_as_name(symbol.name):
+                raise ExprSyntaxError(f"a tree expression cannot name the symbol {symbol.name!r}", 0)
         return en.random_tree_expression(seed, size, args.alphabet)
     if args.expression is None:
         raise ExprSyntaxError("no expression given (pass one, or --random SEED SIZE)", 0)
     if args.kind == "word":
         return wx.parse_expression(args.expression)
     return en.parse_tree_expression(args.expression, args.alphabet)
-
-
-def _text(kind: str, e) -> str:
-    return wx.expr_to_text(e) if kind == "word" else en.expression_to_text(e)
 
 
 def _explored(auto, alphabet, caps: int):
@@ -99,7 +108,7 @@ def cmd_build(args) -> int:
     e = _expression(args)
     auto = construct(args.kind, args.method, args.weights, e)
     result, dot = _explored(auto, args.alphabet, args.caps)
-    print(f"expression: {_text(args.kind, e)}")
+    print(f"expression: {render(e)}")
     if args.format == "dot":
         sys.stdout.write(dot(result))
     else:
@@ -139,7 +148,7 @@ def cmd_validate(args) -> int:
 
 def cmd_random(args) -> int:
     args.random = args.seed, args.size
-    print(_text(args.kind, _expression(args)))
+    print(render(_expression(args)))
     return 0
 
 

@@ -886,29 +886,9 @@ DEFAULT_TREE_ALPHABET = (
 
 
 def expression_to_text(e: EnrichedExpression) -> str:
-    if isinstance(e, EEmpty):
-        return "0"
-    if isinstance(e, EVar):
-        return f"${_var_text(e.var)}"
-    if isinstance(e, ETensor):
-        atom = e.atom
-        if isinstance(atom, TreeAtom) and atom.vars:
-            return f"@{atom.symbol}(" + ",".join(_var_text(v) for v in atom.vars) + ")"
-        return f"@{atom.symbol}"
-    if isinstance(e, ESum):
-        return f"({expression_to_text(e.left)} + {expression_to_text(e.right)})"
-    if isinstance(e, ESub):
-        return (
-            f"({expression_to_text(e.left)} .{_var_text(e.var)} "
-            f"{expression_to_text(e.right)})"
-        )
-    if isinstance(e, EStar):
-        return f"({expression_to_text(e.body)})*{_var_text(e.var)}"
-    raise TypeError(f"not an enriched expression: {e!r}")
-
-
-def _var_text(v) -> str:
-    return "()" if v is UNIT else str(v)
+    """The text of `e`: for a tree expression, what `parse_tree_expression`
+    reads back to `e`."""
+    return str(e)
 
 
 class _TreeExprParser(Scanner):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from .algebra import HOLE, MonoidValue, Node, RankedSymbol, RankedTree, subtrees
@@ -164,11 +165,10 @@ def bu_determinize(auto: BottomUpContainerTA) -> BottomUpDetTA:
     if auto.init is not None:
         raise UnsupportedOperation("determinization is restricted to variable-free automata")
 
+    cont = auto.container
+
     def delta(symbol, subsets):
-        out = set()
-        for states in itertools.product(*subsets):
-            out.update(auto.delta(symbol, states))
-        return frozenset(out)
+        return cont.bind(cont.sequence(subsets), partial(auto.delta, symbol))
 
     return BottomUpDetTA(None, _memo(delta), _weighed_by(auto))
 

@@ -257,7 +257,7 @@ def validate_words(
         simple = i % 2 == 0
         palette = wx.SIMPLE_OPS if simple else wx.SCALAR_OPS
         e = wx.random_expression(0, 5, alphabet, palette, rng=rng)
-        text = wx.expr_to_text(e)
+        text = render(e)
         builders = word_constructions(e, include_enriched=simple, mutate=mutate)
         _compare_probes(
             report, i, text, builders, word_probes(e, rng, probes, alphabet),
@@ -355,7 +355,7 @@ def validate_trees(
     rng = random.Random(seed)
     for i in range(instances):
         e = en.random_tree_expression(0, 3, alphabet, rng=rng)
-        text = en.expression_to_text(e)
+        text = render(e)
         builders = tree_constructions(e, mutate=mutate)
         _compare_probes(
             report, i, text, builders, tree_probes(e, rng, probes, alphabet), render

@@ -621,7 +621,9 @@ def monadic_derive(sym, e: WordExpression, container: EffectContainer):
     if isinstance(op, MultL):
         return container.act_left(op.weight, monadic_derive(sym, e.operands[0], container))
     if isinstance(op, MultR):
-        return container.act_right(monadic_derive(sym, e.operands[0], container), op.weight)
+        # the scalar stays after the rest of the expression: `k·rest·w`
+        d = monadic_derive(sym, e.operands[0], container)
+        return container.expression_action(d, lambda x: mult_r(x, op.weight), EXPRESSIONS)
     if isinstance(op, Not):
         _require_boolean(w, "negation")
         return container.native_not(monadic_derive(sym, e.operands[0], container), EXPRESSIONS)

@@ -88,7 +88,7 @@ class TestBuild:
         argv = ["build", "tree", "--method", "derivation", "--weights", "int"]
         assert main(argv + ["(@a + @a) .() @g((),())"]) == 0
         assert capsys.readouterr().out == (
-            "expression: ((@a + @a) .() @g((),()))\n"
+            "expression: ((@a+@a).() @g((),()))\n"
             "digraph treeautomaton {\n"
             "  rankdir=TB;\n"
             "  node [shape=circle];\n"
@@ -128,7 +128,7 @@ class TestBuild:
             chunks.append(f"{' '.join(argv)}\n{code}\n{out.getvalue()}")
         assert len(chunks) == 384
         assert hashlib.sha256("".join(chunks).encode()).hexdigest() == (
-            "f8a551936627b6ef0c4e6110a00e6eebd3f395d243e94bff67c58b885427fa78"
+            "263f601b4eeb14091e153347247d7f8d2b8eaf0b12a2c92034d41a2c20743e62"
         )
 
     def test_outputs_do_not_depend_on_the_hash_seed(self):
@@ -138,6 +138,8 @@ class TestBuild:
             ["build", "word", "--random", "1", "12", "--method", "positions", "--format", "dump"],
             ["build", "word", "--random", "2", "12", "--weights", "boolexpr", "--format", "dump"],
             ["build", "word", "--random", "4", "12", "--palette", "boolean", "--weights", "boolexpr"],
+            # derivation states that keep their right scalars, `e:[w]`
+            ["build", "word", "--random", "0", "12", "--palette", "scalar", "--method", "derivation", "--weights", "int", "--format", "dump"],
             ["build", "tree", "--random", "1", "8", "--method", "positions", "--format", "dump"],
             ["build", "tree", "--random", "0", "8", "--weights", "boolexpr"],
         ]
@@ -298,6 +300,12 @@ BAD_ALPHABETS = [
     ["build", "word", "a", "--alphabet", "aa", "--format", "dump"],
     ["random", "word", "--alphabet", "a+", "--seed", "1", "--size", "4"],
     ["random", "word", "--alphabet", "a1", "--seed", "2", "--size", "4"],
+    # a random tree expression draws only names its parser reads back; tree
+    # inputs keep the wider names (`+(a,a)` over `a/0,+/2`)
+    ["random", "tree", "--alphabet", "a+/0,f/1", "--seed", "1", "--size", "3"],
+    ["random", "tree", "--alphabet", "a-b/0", "--seed", "1", "--size", "3"],
+    ["random", "tree", "--alphabet", "a*/0", "--seed", "1", "--size", "3"],
+    ["build", "tree", "--random", "1", "3", "--alphabet", "a+/0,f/1"],
 ]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from automonad.algebra import BOOLEANS, INTEGERS, Node, enumerate_trees
@@ -39,6 +40,7 @@ from automonad.enriched import (
     word_position_automaton,
 )
 from automonad import wordexpr as wx
+from automonad.treeauto import td_explore
 from automonad.util import Inl, Inr, UNIT, render
 from automonad.validate import CONSTRUCTIONS, WEIGHTS, construct
 from automonad.wordexpr import PosSym
@@ -416,6 +418,19 @@ class TestTextFormat:
             e = random_tree_expression(seed, 4)
             text = expression_to_text(e)
             assert parse_tree_expression(text) == e
+
+    @pytest.mark.parametrize("variables", [(UNIT,), ("x", "y")])
+    def test_printed_text_reads_back(self, variables):
+        # one printer: state names in dumps are expressions `weight tree` reads
+        for seed in range(300):
+            e = random_tree_expression(seed, 6, variables=variables)
+            assert parse_tree_expression(str(e)) == e
+        for seed in range(8):
+            e = random_tree_expression(seed, 8, variables=variables)
+            result = td_explore(tree_derivation_automaton(e, INT_LIN), DEFAULT_TREE_ALPHABET)
+            assert result.states and not result.truncated
+            for state in result.states:
+                assert parse_tree_expression(render(state)) == state
 
     def test_explicit_forms(self):
         e = parse_tree_expression("@g(v1,v2) .v1 @a + $v2", [A, G])

@@ -33,7 +33,8 @@ from automonad.containers import (
     bool_and,
     lin_comb,
 )
-from automonad.util import render
+from automonad.treeauto import BottomUpContainerTA, bu_determinize
+from automonad.util import UnsupportedOperation, render
 from test_tabulated import untabulated_weight
 
 INT_LIN = lin_comb(INTEGERS)
@@ -160,6 +161,29 @@ class TestDeterminize:
                 assert det.weight(w) == expected
                 assert partial.recognizes(w) == expected
                 assert comp.weight(w) == expected
+
+
+LIN_WORD = WordAutomaton(INT_LIN, INT_LIN.unit(0), lambda _s, _q: INT_LIN.unit(0), lambda _q: 1)
+LIN_TREE = BottomUpContainerTA(INT_LIN, None, lambda _s, _q: INT_LIN.unit(0), lambda _q: 1)
+
+
+@pytest.mark.parametrize(
+    "construction, auto, expected",
+    [
+        (determinize, LIN_WORD, "FiniteSetContainer"),
+        (complete, LIN_WORD, "OptionalContainer"),
+        (afa_to_complete_dfa, LIN_WORD, "BoolExprContainer"),
+        (bu_determinize, LIN_TREE, "FiniteSetContainer"),
+    ],
+)
+def test_configuration_automata_refuse_other_containers(construction, auto, expected):
+    # each is the configuration automaton of its container, which would
+    # build over any container: only its own check refuses the others
+    with pytest.raises(UnsupportedOperation) as exc:
+        construction(auto)
+    assert str(exc.value) == (
+        f"{construction.__name__} expects a {expected} automaton, got LinCombContainer(int)"
+    )
 
 
 class TestComplete:
