@@ -340,12 +340,14 @@ def _configurations(auto: WordAutomaton) -> WordAutomaton:
     """The configuration automaton of `auto` (the generalized powerset
     construction): its states are the configurations of `auto`, a symbol
     steps one through the container's `bind`, and each is weighed as `auto`
-    weighs it.  It is finite wherever the reachable configurations are."""
-    return complete_dfa(
-        auto.initial,
-        lambda sym, c: auto.container.bind(c, partial(auto.delta, sym)),
-        _weighed_by(auto),
-    )
+    weighs it.  It is finite wherever the reachable configurations are.  A
+    step is one `bind` call, with each symbol's row made on first use."""
+    bind, delta, rows = auto.container.bind, auto.delta, {}
+
+    def step(sym, c):
+        return bind(c, rows.get(sym) or rows.setdefault(sym, partial(delta, sym)))
+
+    return complete_dfa(auto.initial, step, _weighed_by(auto))
 
 
 def determinize(auto: WordAutomaton) -> WordAutomaton:

@@ -315,44 +315,74 @@ class LinCombContainer(EffectContainer):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BVar:
-    name: Any
+class _BoolNode:
+    """A boolean-expression node: its hash (the dataclass's own, of the
+    field tuple; each subclass names `__hash__` to keep it) is computed when
+    it is built, its text when first read.  The normalizer marks `_normal`."""
+
+    _normal = False
+
+    def __post_init__(self):  # the one field is all the instance holds yet
+        self.__dict__["_hash"] = hash(tuple(self.__dict__.values()))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
+        return self._text
+
+    @functools.cached_property
+    def _text(self):
+        return self._render()
+
+    def _marked(self):
+        self.__dict__["_normal"] = True
+        return self
+
+
+@dataclass(frozen=True)
+class BVar(_BoolNode):
+    name: Any
+    __hash__ = _BoolNode.__hash__
+
+    def _render(self):
         return render(self.name)
 
 
 @dataclass(frozen=True)
-class BConst:
+class BConst(_BoolNode):
     value: bool
+    __hash__ = _BoolNode.__hash__
 
-    def __str__(self):
+    def _render(self):
         return "true" if self.value else "false"
 
 
 @dataclass(frozen=True)
-class BNot:
+class BNot(_BoolNode):
     arg: Any
+    __hash__ = _BoolNode.__hash__
 
-    def __str__(self):
-        return f"not({render(self.arg)})"
-
-
-@dataclass(frozen=True)
-class BAnd:
-    args: tuple
-
-    def __str__(self):
-        return "and(" + ",".join(render(a) for a in self.args) + ")"
+    def _render(self):
+        return f"not({self.arg._text})"
 
 
 @dataclass(frozen=True)
-class BOr:
+class BAnd(_BoolNode):
     args: tuple
+    __hash__ = _BoolNode.__hash__
 
-    def __str__(self):
-        return "or(" + ",".join(render(a) for a in self.args) + ")"
+    def _render(self):
+        return "and(" + ",".join(a._text for a in self.args) + ")"
+
+
+@dataclass(frozen=True)
+class BOr(_BoolNode):
+    args: tuple
+    __hash__ = _BoolNode.__hash__
+
+    def _render(self):
+        return "or(" + ",".join(a._text for a in self.args) + ")"
 
 
 BTRUE = BConst(True)
@@ -373,38 +403,49 @@ def bool_not(arg):
 
 def normalize_bool_expr(e):
     """ACI normal form: flatten and/or, sort, dedupe, fold constants."""
-    if isinstance(e, (BVar, BConst)):
-        return e
-    if isinstance(e, BNot):
-        arg = normalize_bool_expr(e.arg)
-        if isinstance(arg, BConst):
-            return BConst(not arg.value)
-        if isinstance(arg, BNot):
-            return arg.arg
-        return BNot(arg)
-    flat, absorbing, neutral_c, cls = [], None, None, None
-    if isinstance(e, BAnd):
-        cls, absorbing, neutral_c = BAnd, BFALSE, BTRUE
-    elif isinstance(e, BOr):
-        cls, absorbing, neutral_c = BOr, BTRUE, BFALSE
-    else:
+    return _normal_form(e, None)
+
+
+def _normal_form(e, f):
+    """The ACI normal form of `e`, each variable `v` replaced by `f(v)` unless
+    `f` is None, in one pass, bottom up; a normal node whose operands come out
+    the same is kept.  Summands sort by their text, never by hash."""
+    kind = type(e)
+    if kind is BVar:
+        row = e if f is None else f(e.name)
+        if type(row) is BVar:
+            return e if row.name is e.name else row
+        return row if getattr(row, "_normal", False) else _normal_form(row, None)
+    if kind is BConst:
+        return BTRUE if e.value else BFALSE
+    if kind is not BNot and kind is not BAnd and kind is not BOr:
         raise TypeError(f"not a boolean expression: {e!r}")
+    if f is None and e._normal:
+        return e
+    if kind is BNot:
+        arg = _normal_form(e.arg, f)
+        if arg is e.arg and e._normal:
+            return e
+        if arg is BTRUE or arg is BFALSE:
+            return BFALSE if arg is BTRUE else BTRUE
+        return arg.arg if type(arg) is BNot else BNot(arg)._marked()
+    absorbing, neutral = (BFALSE, BTRUE) if kind is BAnd else (BTRUE, BFALSE)
+    flat, same = [], e._normal
     for raw in e.args:
-        arg = normalize_bool_expr(raw)
-        if arg == absorbing:
+        arg = _normal_form(raw, f)
+        same = same and arg is raw
+        if arg is absorbing:
             return absorbing
-        if arg == neutral_c:
-            continue
-        if isinstance(arg, cls):
+        if type(arg) is kind:
             flat.extend(arg.args)
-        else:
+        elif arg is not neutral:
             flat.append(arg)
-    uniq = sorted(set(flat), key=render)
-    if not uniq:
-        return neutral_c
-    if len(uniq) == 1:
-        return uniq[0]
-    return cls(tuple(uniq))
+    if same:
+        return e
+    flat = sorted(set(flat), key=str)
+    if not flat:
+        return neutral
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))._marked()
 
 
 def bool_expr_variables(e) -> list:
@@ -469,23 +510,10 @@ def bool_expr_to_clauses(e) -> frozenset:
     raise TypeError(f"not a boolean expression: {e!r}")
 
 
-def _bool_subst(e, f):
-    """Replace every variable v by the expression f(v)."""
-    if isinstance(e, BConst):
-        return e
-    if isinstance(e, BVar):
-        return f(e.name)
-    if isinstance(e, BNot):
-        return BNot(_bool_subst(e.arg, f))
-    if isinstance(e, BAnd):
-        return BAnd(tuple(_bool_subst(a, f) for a in e.args))
-    if isinstance(e, BOr):
-        return BOr(tuple(_bool_subst(a, f) for a in e.args))
-    raise TypeError(f"not a boolean expression: {e!r}")
-
-
 class BoolExprContainer(EffectContainer):
-    """Boolean expressions over elements: the alternation container."""
+    """Boolean expressions over elements: the alternation container.  Its
+    values are ACI normal forms; `bind` substitutes and normalizes in one
+    pass, and takes a transition row that is already normal as it is."""
 
     weights = BOOLEANS
 
@@ -493,7 +521,7 @@ class BoolExprContainer(EffectContainer):
         return BVar(x)
 
     def bind(self, c, f):
-        return normalize_bool_expr(_bool_subst(c, f))
+        return _normal_form(c, f)
 
     @property
     def neutral(self):

@@ -1,8 +1,9 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from automonad.algebra import HOLE, INT_SUM, INTEGERS, STR_CONCAT, RankedSymbol, parse_tree, product_monoid
 from automonad.automata import StarNew, StarOld, Transition
@@ -217,6 +218,18 @@ class TestSharedValues:
         assert len(INT_LIN.neutral) == 0 and INT_LIN.neutral is lin_comb(INTEGERS).neutral
 
 
+VARIABLES = ["p", "q", "r", "s"]
+FORMULAS = st.recursive(
+    st.one_of(st.sampled_from(VARIABLES).map(BVar), st.booleans().map(BConst)),
+    lambda sub: st.one_of(
+        sub.map(BNot),
+        st.lists(sub, max_size=4).map(lambda args: BAnd(tuple(args))),
+        st.lists(sub, max_size=4).map(lambda args: BOr(tuple(args))),
+    ),
+    max_leaves=16,
+)
+
+
 class TestBoolExpr:
     def test_eval_examples(self):
         assert eval_bool_expr(bool_not(BTRUE)) is False
@@ -265,6 +278,65 @@ class TestBoolExpr:
         n = normalize_bool_expr(e)
         assert n == BOr((BVar("a"), BVar("b")))
         assert normalize_bool_expr(n) == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(FORMULAS, st.dictionaries(st.sampled_from(VARIABLES), FORMULAS))
+    def test_one_pass_bind_is_substitution_then_normalization(self, e, images):
+        f = lambda v: images.get(v, BVar(v))
+        n = normalize_bool_expr(e)
+        expected = normalize_bool_expr(_substituted(e, f))
+        assert BOOL_EXPR.bind(e, f) == expected and BOOL_EXPR.bind(n, f) == expected
+        for formula in (e, expected):
+            n = normalize_bool_expr(formula)
+            assert _in_normal_form(n), (render(formula), render(n))
+            assert normalize_bool_expr(n) is n
+            assert normalize_bool_expr(_rebuilt(n)) == n
+            for bits in range(16):
+                env = {v: bool(bits >> i & 1) for i, v in enumerate(VARIABLES)}
+                assert eval_bool_expr(n, env.__getitem__) == eval_bool_expr(formula, env.__getitem__)
+            raw = _rebuilt(n)
+            assert raw is not n and raw == n
+            assert (hash(raw), str(raw), repr(raw)) == (hash(n), str(n), repr(n))
+            assert hash(n) == hash(tuple(getattr(n, x.name) for x in dataclasses.fields(n)))
+
+
+def _substituted(e, f):
+    """`e` with each variable `v` replaced by `f(v)`, nothing normalized."""
+    if isinstance(e, BVar):
+        return f(e.name)
+    if isinstance(e, BNot):
+        return BNot(_substituted(e.arg, f))
+    if isinstance(e, (BAnd, BOr)):
+        return type(e)(tuple(_substituted(a, f) for a in e.args))
+    return e
+
+
+def _rebuilt(e):
+    """An equal formula built afresh, node by node."""
+    if isinstance(e, BNot):
+        return BNot(_rebuilt(e.arg))
+    if isinstance(e, (BAnd, BOr)):
+        return type(e)(tuple(_rebuilt(a) for a in e.args))
+    return type(e)(*dataclasses.astuple(e))
+
+
+def _in_normal_form(e, top=True):
+    """A constant only at the top; no double negation and no negated
+    constant; and/or nodes of at least two distinct operands, sorted by
+    text, none of its own kind."""
+    if isinstance(e, BConst):
+        return top
+    if isinstance(e, BNot):
+        return not isinstance(e.arg, (BNot, BConst)) and _in_normal_form(e.arg, False)
+    if isinstance(e, (BAnd, BOr)):
+        texts = [render(a) for a in e.args]
+        return (
+            len(e.args) >= 2
+            and texts == sorted(set(texts))
+            and not any(isinstance(a, type(e)) for a in e.args)
+            and all(_in_normal_form(a, False) for a in e.args)
+        )
+    return isinstance(e, BVar)
 
 
 def _random_positive(rng, variables, budget):

@@ -27,6 +27,8 @@ from automonad.automata import (
 )
 from automonad.containers import (
     BOOL_EXPR,
+    BAnd,
+    BOr,
     BVar,
     FINITE_SET,
     OPTIONAL,
@@ -257,6 +259,28 @@ class TestAlternating:
         for _ in range(60):
             w = [rng.choice("AB") for _ in range(rng.randint(0, 6))]
             assert afa.recognizes(w) == dfa.weight(w) == nfa.recognizes(w)
+
+    def test_growing_configurations_weigh_alike_three_ways(self):
+        # `a` nests p one and/or level deeper, `b` widens q into a disjunction
+        # that flattens and dedupes, `c` renames r: no absorption law folds
+        # the configuration, so it keeps growing along the word.
+        def delta(sym, x):
+            if sym == "a" and x == "p":
+                return BOr((BVar("q"), BAnd((BVar("p"), BVar("r")))))
+            if sym == "b" and x == "q":
+                return BOr((BVar("q"), BVar("r")))
+            return BVar("q") if sym == "c" and x == "r" else BVar(x)
+
+        afa = WordAutomaton(BOOL_EXPR, BVar("p"), delta, lambda x: x != "q")
+        nfa = afa_to_nfa(afa)
+        weights = []
+        for seed in (0, 3):
+            rng = random.Random(seed)
+            word = "".join(rng.choice("abc") for _ in range(200))
+            assert len(render(afa.config(word))) > 500
+            weights.append(afa.weight(word))
+            assert weights[-1] == nfa.weight(word) == untabulated_weight(afa, word), seed
+        assert weights == [True, False]
 
     def test_var_state_steps_to_delta_image(self):
         afa = all_letters_afa("AB")
